@@ -1,5 +1,6 @@
 //! Repo automation. `cargo xtask ci` is the one-command gate a PR must
-//! pass: formatting, clippy, release build, the full workspace test suite,
+//! pass: formatting, clippy, release build, the build and tests of the
+//! `perfbench/` benchmark helper, the full workspace test suite,
 //! the engine determinism suite re-run explicitly so a scheduling-dependent
 //! failure gets a second chance to surface, a smoke run of
 //! `classify --metrics-json` on the golden fixture pcap, a cross-thread
@@ -689,6 +690,20 @@ fn ci() -> Result<(), String> {
             )
         })?;
         sw.time("build", || run("build", "cargo", &["build", "--release"]))?;
+        // perfbench composes the binary's public calls (`flow_to_jsonl`,
+        // `FlowBatch::materialize`, `label_capture_flow`,
+        // `Collector::observe_analyzed`, ...); building and testing it here
+        // turns a renamed or reshaped call into a CI failure instead of a
+        // broken benchmark.
+        sw.time("perfbench", || {
+            let manifest = repo_root().join("perfbench").join("Cargo.toml");
+            let manifest = manifest.to_string_lossy();
+            run(
+                "perfbench",
+                "cargo",
+                &["test", "--release", "--manifest-path", &manifest],
+            )
+        })?;
         sw.time("test", || {
             run("test", "cargo", &["test", "--workspace", "-q"])
         })?;

@@ -19,8 +19,8 @@ use std::process::ExitCode;
 
 use tamperscope::analysis::{
     capture_collector, capture_summary_to_json, config_fingerprint, decode_agg, encode_agg,
-    engine_perf_to_json, flow_to_jsonl, label_capture_flow, merge_checked, pct, report,
-    summary_to_json, write_metrics_json, AggError, Collector, PartialAggregate,
+    engine_perf_to_json, flow_to_jsonl, flow_to_line, label_capture_flow, merge_checked, pct,
+    report, summary_to_json, write_metrics_json, AggError, Collector, PartialAggregate,
 };
 use tamperscope::capture::{
     run_source_observed, EngineConfig, FlowBatch, OfflineConfig, PcapMemSource, PcapWriter,
@@ -210,23 +210,7 @@ fn cmd_classify(args: &Args) -> ExitCode {
             let line = match mode {
                 ClassifyMode::Jsonl => flow_to_jsonl(flow, &analysis),
                 ClassifyMode::Explain => tamperscope::core::explain(flow, &analysis),
-                ClassifyMode::Lines => {
-                    let verdict = match analysis.signature() {
-                        Some(sig) => format!("TAMPERED  {sig}"),
-                        None if analysis.is_possibly_tampered() => "possibly tampered".to_owned(),
-                        None => "clean".to_owned(),
-                    };
-                    let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
-                    format!(
-                        "{}:{} -> :{}  [{} pkts]  {:<40} {}",
-                        flow.client_ip,
-                        flow.src_port,
-                        flow.dst_port,
-                        flow.packets.len(),
-                        verdict,
-                        domain
-                    )
-                }
+                ClassifyMode::Lines => flow_to_line(flow, &analysis),
             };
             sink.lines.push((first_index, line));
         }

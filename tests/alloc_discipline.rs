@@ -6,39 +6,55 @@
 //! refcount. Flows that *do* yield a domain pay exactly the waived
 //! verdict-owned string and nothing else grows between passes.
 //!
+//! Rendering is budgeted the same way: a `classify --jsonl` line costs a
+//! fixed number of heap requests (the line and the two RST-delta
+//! packet-order vectors) and a default verdict line costs exactly one.
+//!
 //! This is the runtime counterpart of tamperlint's static `hot-path-alloc`
 //! rule: the lint proves no allocation *constructor* is reachable from the
 //! hot roots, this test proves the surviving (waived, per-flow) sites
 //! really amortize to zero once the machine is warm.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
+use tamperscope::analysis::{flow_to_jsonl, flow_to_line};
 use tamperscope::capture::{
     run_engine, ClosedFlow, EngineConfig, FlowBatch, FlowTuple, OfflineConfig,
 };
 use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowMachine};
 
-/// A counting pass-through allocator: every heap request bumps a global
-/// counter. Counting is process-wide, so measured sections must run with
-/// no other live threads.
+/// A counting pass-through allocator: every heap request bumps a counter
+/// owned by the requesting thread. Libtest runs tests on parallel
+/// threads, so a measured section reads only its own thread's count and
+/// never sees another test's allocations.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised with no destructor: reading or bumping it never
+    // allocates, so it is safe to touch from inside the allocator.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread's locals are being torn
+    // down; nothing is measured then.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -50,8 +66,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Heap requests made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// The golden corpus as closed flows, in first-seen order.
@@ -86,9 +103,9 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
     let flows = golden_flows();
     let mut machine = FlowMachine::new(ClassifierConfig::default());
 
-    // Warm pass: scratch buffers grow to the corpus' high-water marks
-    // (and any engine worker threads are already joined by now). Record
-    // which flows legitimately allocate a verdict-owned trigger domain.
+    // Warm pass: scratch buffers grow to the corpus' high-water marks.
+    // Record which flows legitimately allocate a verdict-owned trigger
+    // domain.
     let mut warm_verdicts = Vec::with_capacity(flows.len());
     let mut has_domain = Vec::with_capacity(flows.len());
     for cf in &flows {
@@ -245,4 +262,43 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
         .map(|a| a.classification)
         .collect();
     assert_eq!(again, warm, "verdicts drifted between batch passes");
+}
+
+/// Heap requests made by `f` on the calling thread, and its result.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = allocations();
+    let out = f();
+    (allocations() - before, out)
+}
+
+/// Heap requests per rendered `classify --jsonl` line: the line itself
+/// plus the two packet-order vectors behind `max_rst_ipid_delta` and
+/// `max_rst_ttl_delta`. Every field is written into the line's one
+/// pre-sized buffer; a per-field `format!` would show up here.
+const JSONL_ALLOCS_PER_LINE: u64 = 3;
+
+/// Heap requests per rendered default `classify` verdict line: the line.
+const VERDICT_LINE_ALLOCS_PER_LINE: u64 = 1;
+
+#[test]
+fn rendering_a_verdict_line_allocates_only_the_line() {
+    let flows = golden_flows();
+    let mut machine = FlowMachine::new(ClassifierConfig::default());
+    let mut with_domain = 0;
+    for cf in &flows {
+        let analysis = machine.analyze(&cf.flow);
+        with_domain += usize::from(analysis.trigger.domain.is_some());
+        let (allocs, line) = counted(|| flow_to_jsonl(&cf.flow, &analysis));
+        assert_eq!(
+            allocs, JSONL_ALLOCS_PER_LINE,
+            "flow_to_jsonl made {allocs} heap request(s) for {line}"
+        );
+        let (allocs, line) = counted(|| flow_to_line(&cf.flow, &analysis));
+        assert_eq!(
+            allocs, VERDICT_LINE_ALLOCS_PER_LINE,
+            "flow_to_line made {allocs} heap request(s) for {line:?}"
+        );
+    }
+    // The budget covers lines that carry an SNI/Host domain too.
+    assert!(with_domain > 0, "golden corpus has no domain-bearing flow");
 }

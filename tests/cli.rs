@@ -214,6 +214,32 @@ fn unparseable_numeric_flag_is_a_usage_error() {
 }
 
 #[test]
+fn classify_writes_the_golden_bytes_in_both_output_modes() {
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let pcap = fixtures.join("golden.pcap");
+    for (mode, golden) in [
+        (None, "golden.lines.txt"),
+        (Some("--jsonl"), "golden.verdicts.jsonl"),
+    ] {
+        let want = std::fs::read(fixtures.join(golden)).expect("golden fixture");
+        for threads in ["1", "2"] {
+            let out = bin()
+                .arg("classify")
+                .arg(&pcap)
+                .args(mode)
+                .args(["--threads", threads])
+                .output()
+                .expect("classify");
+            assert!(out.status.success());
+            assert!(
+                out.stdout == want,
+                "classify {mode:?} --threads {threads} differs from {golden}"
+            );
+        }
+    }
+}
+
+#[test]
 fn classify_missing_file_fails_cleanly() {
     let out = bin()
         .args(["classify", "/definitely/not/here.pcap"])
