@@ -48,39 +48,31 @@ pub fn collect(
     cfg: &CollectorConfig,
     rng: &mut StdRng,
 ) -> Option<FlowRecord> {
-    let mut inbound: Vec<_> = trace.inbound().collect();
-    if inbound.is_empty() {
-        return None;
-    }
-    let truncated = inbound.len() > cfg.max_packets;
-    inbound.truncate(cfg.max_packets);
-
-    let first = &inbound[0];
+    let first = trace.inbound().next()?;
     let client_ip = first.packet.ip.src();
     let server_ip = first.packet.ip.dst();
     let src_port = first.packet.tcp.src_port;
     let dst_port = first.packet.tcp.dst_port;
+    let inbound = trace.inbound().count();
+    let truncated = inbound > cfg.max_packets;
 
-    let mut packets: Vec<PacketRecord> = inbound
-        .iter()
-        .map(|tp| {
-            let ts = if cfg.quantize_timestamps {
-                tp.time.as_secs()
-            } else {
-                // Ablation mode: keep nanosecond precision by encoding
-                // nanoseconds in the (widened) seconds field.
-                tp.time.as_nanos()
-            };
-            if cfg.reencode {
-                let frame = tp.packet.emit();
-                let parsed =
-                    tamper_wire::Packet::parse(&frame).expect("emitted packet must re-parse");
-                PacketRecord::from_packet(ts, &parsed)
-            } else {
-                PacketRecord::from_packet(ts, &tp.packet)
-            }
-        })
-        .collect();
+    let mut packets: Vec<PacketRecord> = Vec::with_capacity(inbound.min(cfg.max_packets));
+    packets.extend(trace.inbound().take(cfg.max_packets).map(|tp| {
+        let ts = if cfg.quantize_timestamps {
+            tp.time.as_secs()
+        } else {
+            // Ablation mode: keep nanosecond precision by encoding
+            // nanoseconds in the (widened) seconds field.
+            tp.time.as_nanos()
+        };
+        if cfg.reencode {
+            let frame = tp.packet.emit();
+            let parsed = tamper_wire::Packet::parse(&frame).expect("emitted packet must re-parse");
+            PacketRecord::from_packet(ts, &parsed)
+        } else {
+            PacketRecord::from_packet(ts, &tp.packet)
+        }
+    }));
 
     if cfg.shuffle_within_second && cfg.quantize_timestamps {
         shuffle_within_buckets(&mut packets, rng);

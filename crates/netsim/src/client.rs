@@ -471,7 +471,7 @@ impl Client {
                 for (t, d) in send.timers {
                     actions.arm(t, d + self.cfg.request_delay);
                 }
-            } else if self.cfg.request.syn_bytes().is_some() {
+            } else if matches!(self.cfg.request, RequestPayload::HttpInSyn { .. }) {
                 // Request already rode the SYN; just await the response.
                 self.state = State::Requested;
                 self.responses_pending = 1;
@@ -757,13 +757,13 @@ impl EndpointMachine for Client {
     /// RNG draw order is part of the golden-trace contract).
     fn process(
         &mut self,
-        input: EndpointInput<ClientTimer>,
+        input: EndpointInput<'_, ClientTimer>,
         now: SimTime,
         rng: &mut StdRng,
     ) -> Actions<ClientTimer> {
         match input {
             EndpointInput::Start => self.start(now, rng),
-            EndpointInput::Packet(pkt) => self.on_packet(now, &pkt, rng),
+            EndpointInput::Packet(pkt) => self.on_packet(now, pkt, rng),
             EndpointInput::Timer(t) => self.on_timer(now, t, rng),
         }
     }

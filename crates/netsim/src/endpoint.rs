@@ -45,15 +45,17 @@ impl<T> Actions<T> {
 }
 
 /// One input to an endpoint state machine: the same sans-IO shape as the
-/// classifier's `FlowMachine` — owned events plus injected time, no
-/// sockets, no sleeps, no ambient clock.
+/// classifier's `FlowMachine` — events plus injected time, no sockets, no
+/// sleeps, no ambient clock. Packets are lent, not given: the session
+/// driver hands the arriving packet to the endpoint and then moves it
+/// into the trace, so delivery never copies it.
 #[derive(Debug)]
-pub enum EndpointInput<T> {
+pub enum EndpointInput<'a, T> {
     /// The session begins. Clients emit their opening SYN here; servers
     /// simply listen.
     Start,
     /// A packet arrived from the wire.
-    Packet(Packet),
+    Packet(&'a Packet),
     /// A previously armed timer fired.
     Timer(T),
 }
@@ -69,7 +71,7 @@ pub trait EndpointMachine {
     /// Advance the machine by one input.
     fn process(
         &mut self,
-        input: EndpointInput<Self::Timer>,
+        input: EndpointInput<'_, Self::Timer>,
         now: SimTime,
         rng: &mut StdRng,
     ) -> Actions<Self::Timer>;

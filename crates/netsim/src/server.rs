@@ -16,6 +16,11 @@ use tamper_wire::{Packet, PacketBuilder, TcpFlags, TcpHeader};
 
 use std::net::IpAddr;
 
+/// The response body fill: every segment's payload is a prefix of this
+/// one static buffer, so emitting a segment never copies its body. It
+/// covers any `u16` segment length.
+static RESPONSE_FILL: [u8; u16::MAX as usize] = [b'D'; u16::MAX as usize];
+
 /// Static configuration of the server side of one session.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -149,8 +154,7 @@ impl Server {
                 TcpFlags::ACK
             };
             let len = self.cfg.segment_len as usize;
-            // tamperlint: allow(hot-path-alloc) — the response body is owned by the emitted packet; the sim composes owned packets by design
-            let body = Bytes::from(vec![b'D'; len]);
+            let body = Bytes::from_static(&RESPONSE_FILL[..len]);
             let opts = self.seg_options(now);
             let seq = self.snd_nxt;
             let ack = self.rcv_nxt;
@@ -325,13 +329,13 @@ impl EndpointMachine for Server {
     /// packet/timer handlers.
     fn process(
         &mut self,
-        input: EndpointInput<ServerTimer>,
+        input: EndpointInput<'_, ServerTimer>,
         now: SimTime,
         rng: &mut StdRng,
     ) -> Actions<ServerTimer> {
         match input {
             EndpointInput::Start => Actions::none(),
-            EndpointInput::Packet(pkt) => self.on_packet(now, &pkt, rng),
+            EndpointInput::Packet(pkt) => self.on_packet(now, pkt, rng),
             EndpointInput::Timer(t) => self.on_timer(now, t, rng),
         }
     }

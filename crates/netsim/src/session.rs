@@ -36,29 +36,33 @@ enum EvKind {
     ServerTimer(ServerTimer),
 }
 
-struct Scheduled {
+/// A heap entry: only the ordering key and the slab slot holding the
+/// event's payload, so every sift moves 24 bytes instead of a whole
+/// packet-carrying event.
+#[derive(PartialEq, Eq)]
+struct Key {
     t: SimTime,
     seq: u64,
-    kind: EvKind,
+    slot: u32,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Scheduled) -> bool {
-        self.t == other.t && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Scheduled) -> Option<Ordering> {
+impl PartialOrd for Key {
+    fn partial_cmp(&self, other: &Key) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Scheduled) -> Ordering {
-        // Reverse for a min-heap on (time, seq).
+impl Ord for Key {
+    fn cmp(&self, other: &Key) -> Ordering {
+        // Reverse for a min-heap on (time, seq); `seq` is unique, so the
+        // slot never decides the order.
         other.t.cmp(&self.t).then_with(|| other.seq.cmp(&self.seq))
     }
 }
+
+/// Heap, slab, free-list and trace capacity that covers a typical
+/// session (a handshake, a request, a few response segments and the
+/// teardown) without regrowing.
+const TYPICAL_EVENTS: usize = 16;
 
 /// Parameters of one simulated connection.
 pub struct SessionParams {
@@ -87,7 +91,11 @@ impl SessionParams {
 }
 
 struct Driver<'a> {
-    heap: BinaryHeap<Scheduled>,
+    heap: BinaryHeap<Key>,
+    /// Event payloads, indexed by [`Key::slot`]; `None` marks a free slot.
+    slab: Vec<Option<EvKind>>,
+    /// Free slab slots, reused before the slab grows.
+    free: Vec<u32>,
     seq: u64,
     path: &'a mut Path,
     trace: Vec<TracedPacket>,
@@ -96,8 +104,29 @@ struct Driver<'a> {
 impl<'a> Driver<'a> {
     fn push(&mut self, t: SimTime, kind: EvKind) {
         self.seq += 1;
-        let seq = self.seq;
-        self.heap.push(Scheduled { t, seq, kind });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(kind);
+                slot
+            }
+            None => {
+                self.slab.push(Some(kind));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Key {
+            t,
+            seq: self.seq,
+            slot,
+        });
+    }
+
+    /// The earliest pending event, its slot returned to the free list.
+    fn pop(&mut self) -> Option<(SimTime, EvKind)> {
+        let key = self.heap.pop()?;
+        self.free.push(key.slot);
+        let kind = self.slab[key.slot as usize].take()?;
+        Some((key.t, kind))
     }
 
     fn decrement_ttl(pkt: &mut Packet, by: u8) {
@@ -187,7 +216,7 @@ impl<'a> Driver<'a> {
     fn drive<M, W>(
         &mut self,
         machine: &mut M,
-        input: EndpointInput<M::Timer>,
+        input: EndpointInput<'_, M::Timer>,
         now: SimTime,
         side: Node,
         wrap: W,
@@ -242,10 +271,12 @@ pub fn run_session(params: SessionParams, path: &mut Path, rng: &mut StdRng) -> 
     let mut tamper_events = Vec::new();
 
     let mut driver = Driver {
-        heap: BinaryHeap::new(),
+        heap: BinaryHeap::with_capacity(TYPICAL_EVENTS),
+        slab: Vec::with_capacity(TYPICAL_EVENTS),
+        free: Vec::with_capacity(TYPICAL_EVENTS),
         seq: 0,
         path,
-        trace: Vec::new(),
+        trace: Vec::with_capacity(TYPICAL_EVENTS),
     };
 
     // Kick off: the client's initial actions.
@@ -258,12 +289,11 @@ pub fn run_session(params: SessionParams, path: &mut Path, rng: &mut StdRng) -> 
         rng,
     );
 
-    while let Some(ev) = driver.heap.pop() {
-        if ev.t > end {
+    while let Some((now, kind)) = driver.pop() {
+        if now > end {
             break;
         }
-        let now = ev.t;
-        match ev.kind {
+        match kind {
             EvKind::ClientTimer(k) => {
                 driver.drive(
                     &mut client,
@@ -328,36 +358,39 @@ pub fn run_session(params: SessionParams, path: &mut Path, rng: &mut StdRng) -> 
                     }
                 }
                 Node::Server => {
-                    driver.trace.push(TracedPacket {
-                        time: now,
-                        dir: Direction::ToServer,
-                        origin,
-                        packet: pkt.clone(),
-                    });
+                    // `drive` only schedules events, so recording the
+                    // packet after the endpoint has seen it keeps the
+                    // trace in arrival order.
                     driver.drive(
                         &mut server,
-                        EndpointInput::Packet(pkt),
+                        EndpointInput::Packet(&pkt),
                         now,
                         Node::Server,
                         EvKind::ServerTimer,
                         rng,
                     );
-                }
-                Node::Client => {
                     driver.trace.push(TracedPacket {
                         time: now,
-                        dir: Direction::ToClient,
+                        dir: Direction::ToServer,
                         origin,
-                        packet: pkt.clone(),
+                        packet: pkt,
                     });
+                }
+                Node::Client => {
                     driver.drive(
                         &mut client,
-                        EndpointInput::Packet(pkt),
+                        EndpointInput::Packet(&pkt),
                         now,
                         Node::Client,
                         EvKind::ClientTimer,
                         rng,
                     );
+                    driver.trace.push(TracedPacket {
+                        time: now,
+                        dir: Direction::ToClient,
+                        origin,
+                        packet: pkt,
+                    });
                 }
             },
         }

@@ -21,10 +21,20 @@ pub struct HttpRequest {
 
 /// Build a plain HTTP/1.1 GET request.
 pub fn build_get(host: &str, path: &str, user_agent: &str) -> Bytes {
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned request per flow
-    let req = format!(
-        "GET {path} HTTP/1.1\r\nHost: {host}\r\nUser-Agent: {user_agent}\r\nAccept: */*\r\nConnection: keep-alive\r\n\r\n"
-    );
+    let parts: [&[u8]; 7] = [
+        b"GET ",
+        path.as_bytes(),
+        b" HTTP/1.1\r\nHost: ",
+        host.as_bytes(),
+        b"\r\nUser-Agent: ",
+        user_agent.as_bytes(),
+        b"\r\nAccept: */*\r\nConnection: keep-alive\r\n\r\n",
+    ];
+    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned request per flow, in one exactly-sized buffer
+    let mut req = Vec::with_capacity(parts.iter().map(|p| p.len()).sum());
+    for part in parts {
+        req.extend_from_slice(part);
+    }
     // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned request per flow
     Bytes::from(req)
 }

@@ -8,7 +8,7 @@
 
 use crate::reader::Reader;
 use crate::{Result, WireError};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 /// TLS record content type for handshake messages.
 const CONTENT_TYPE_HANDSHAKE: u8 = 0x16;
@@ -36,57 +36,55 @@ fn len16(n: usize) -> u16 {
 /// );
 /// ```
 pub fn build_client_hello(sni: &str, random: [u8; 32]) -> Bytes {
-    // server_name extension body: list length, type 0 (host_name), name.
-    let name = sni.as_bytes();
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
-    let mut ext_body = BytesMut::with_capacity(5 + name.len());
-    ext_body.put_u16(len16(3 + name.len())); // server name list length
-    ext_body.put_u8(0); // name type: host_name
-    ext_body.put_u16(len16(name.len()));
-    ext_body.put_slice(name);
-
     // A small, realistic second extension so the hello isn't SNI-only:
     // supported_versions offering TLS 1.3 and 1.2.
-    let supported_versions: &[u8] = &[0x04, 0x03, 0x04, 0x03, 0x03];
+    const SUPPORTED_VERSIONS: [u8; 5] = [0x04, 0x03, 0x04, 0x03, 0x03];
+    const CIPHER_SUITES: [u16; 4] = [0x1301, 0x1302, 0x1303, 0xc02f];
+    let name = sni.as_bytes();
 
-    let mut exts = BytesMut::new();
-    exts.put_u16(EXT_SERVER_NAME);
-    exts.put_u16(len16(ext_body.len()));
-    exts.put_slice(&ext_body);
-    exts.put_u16(0x002b); // supported_versions
-    exts.put_u16(len16(supported_versions.len()));
-    exts.put_slice(supported_versions);
-
-    let cipher_suites: &[u16] = &[0x1301, 0x1302, 0x1303, 0xc02f];
-
-    let mut body = BytesMut::new();
-    body.put_u16(0x0303); // legacy_version TLS 1.2
-    body.put_slice(&random);
-    body.put_u8(32); // legacy_session_id length
-    body.put_slice(&[0xAA; 32]);
-    body.put_u16(len16(cipher_suites.len() * 2));
-    for cs in cipher_suites {
-        body.put_u16(*cs);
-    }
-    body.put_u8(1); // compression methods length
-    body.put_u8(0); // null compression
-    body.put_u16(len16(exts.len()));
-    body.put_slice(&exts);
+    // Every length is known up front, so the record is written front to
+    // back into one exactly-sized buffer.
+    // server_name body: list length, type 0 (host_name), name length, name.
+    let sni_body = 5 + name.len();
+    let exts = 4 + sni_body + 4 + SUPPORTED_VERSIONS.len();
+    // version, random, session id, cipher suites, compression, extensions.
+    let body = 2 + 32 + (1 + 32) + (2 + 2 * CIPHER_SUITES.len()) + 2 + (2 + exts);
+    let hs = 4 + body;
 
     // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
-    let mut hs = BytesMut::with_capacity(body.len() + 4);
-    hs.put_u8(HANDSHAKE_CLIENT_HELLO);
-    hs.put_u8(0);
-    hs.put_u16(len16(body.len())); // 24-bit length, high byte zero
-    hs.put_slice(&body);
-
-    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
-    let mut rec = BytesMut::with_capacity(hs.len() + 5);
+    let mut rec = Vec::with_capacity(5 + hs);
     rec.put_u8(CONTENT_TYPE_HANDSHAKE);
     rec.put_u16(0x0301); // record legacy version
-    rec.put_u16(len16(hs.len()));
-    rec.put_slice(&hs);
-    rec.freeze()
+    rec.put_u16(len16(hs));
+
+    rec.put_u8(HANDSHAKE_CLIENT_HELLO);
+    rec.put_u8(0);
+    rec.put_u16(len16(body)); // 24-bit length, high byte zero
+
+    rec.put_u16(0x0303); // legacy_version TLS 1.2
+    rec.put_slice(&random);
+    rec.put_u8(32); // legacy_session_id length
+    rec.put_slice(&[0xAA; 32]);
+    rec.put_u16(len16(CIPHER_SUITES.len() * 2));
+    for cs in CIPHER_SUITES {
+        rec.put_u16(cs);
+    }
+    rec.put_u8(1); // compression methods length
+    rec.put_u8(0); // null compression
+
+    rec.put_u16(len16(exts));
+    rec.put_u16(EXT_SERVER_NAME);
+    rec.put_u16(len16(sni_body));
+    rec.put_u16(len16(3 + name.len())); // server name list length
+    rec.put_u8(0); // name type: host_name
+    rec.put_u16(len16(name.len()));
+    rec.put_slice(name);
+    rec.put_u16(0x002b); // supported_versions
+    rec.put_u16(len16(SUPPORTED_VERSIONS.len()));
+    rec.put_slice(&SUPPORTED_VERSIONS);
+    debug_assert_eq!(rec.len(), 5 + hs);
+    // tamperlint: allow(hot-path-alloc) — the simulated client composes one owned ClientHello per flow
+    Bytes::from(rec)
 }
 
 /// True if the payload starts like a TLS handshake record containing a

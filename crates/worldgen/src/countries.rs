@@ -42,21 +42,44 @@ pub struct Country {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Asn(pub u32);
 
-/// Pick an AS for a connection: AS sizes follow a Zipf(1.1) skew so one
-/// or two ASes dominate (as in real eyeball markets).
-pub fn pick_asn(country_idx: CountryIdx, n_ases: usize, u: f64) -> Asn {
-    debug_assert!(n_ases > 0);
-    // Inverse-CDF sample of P(i) ∝ 1/(i+1)^1.1 over 0..n_ases.
-    let s = 1.1f64;
-    let norm: f64 = (0..n_ases).map(|i| 1.0 / ((i + 1) as f64).powf(s)).sum();
-    let mut acc = 0.0;
-    for i in 0..n_ases {
-        acc += (1.0 / ((i + 1) as f64).powf(s)) / norm;
-        if u <= acc {
-            return Asn(u32::from(country_idx) * 1000 + i as u32);
-        }
+/// A country's AS picker: AS sizes follow a Zipf(1.1) skew so one or two
+/// ASes dominate (as in real eyeball markets). The cumulative
+/// distribution is built once per world, so a pick is a search instead of
+/// `2 × n_ases` calls to `powf`.
+#[derive(Debug, Clone)]
+pub struct AsnPicker {
+    country_idx: CountryIdx,
+    /// `cdf[i]` = P(AS ≤ i), accumulated in index order.
+    cdf: Vec<f64>,
+}
+
+impl AsnPicker {
+    /// The picker for `n_ases` ASes of country `country_idx`.
+    pub fn new(country_idx: CountryIdx, n_ases: usize) -> AsnPicker {
+        debug_assert!(n_ases > 0);
+        // P(i) ∝ 1/(i+1)^1.1 over 0..n_ases.
+        let s = 1.1f64;
+        let norm: f64 = (0..n_ases).map(|i| 1.0 / ((i + 1) as f64).powf(s)).sum();
+        let mut acc = 0.0;
+        let cdf = (0..n_ases)
+            .map(|i| {
+                acc += (1.0 / ((i + 1) as f64).powf(s)) / norm;
+                acc
+            })
+            .collect();
+        AsnPicker { country_idx, cdf }
     }
-    Asn(u32::from(country_idx) * 1000 + (n_ases - 1) as u32)
+
+    /// Inverse-CDF sample for a uniform `u`: the first AS whose cumulative
+    /// share reaches `u`, or the last AS when rounding leaves `u` above
+    /// the final entry.
+    pub fn pick(&self, u: f64) -> Asn {
+        let i = self
+            .cdf
+            .partition_point(|&c| c < u)
+            .min(self.cdf.len().saturating_sub(1));
+        Asn(u32::from(self.country_idx) * 1000 + i as u32)
+    }
 }
 
 /// Deterministic per-AS enforcement multiplier with mean ≈ 1.
@@ -84,13 +107,56 @@ pub fn day_index(unix_secs: u64, start_unix: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// The per-call formula the table replaced: the reference the
+    /// table-based pick must match bit for bit.
+    fn pick_asn_reference(country_idx: CountryIdx, n_ases: usize, u: f64) -> Asn {
+        let s = 1.1f64;
+        let norm: f64 = (0..n_ases).map(|i| 1.0 / ((i + 1) as f64).powf(s)).sum();
+        let mut acc = 0.0;
+        for i in 0..n_ases {
+            acc += (1.0 / ((i + 1) as f64).powf(s)) / norm;
+            if u <= acc {
+                return Asn(u32::from(country_idx) * 1000 + i as u32);
+            }
+        }
+        Asn(u32::from(country_idx) * 1000 + (n_ases - 1) as u32)
+    }
+
+    #[test]
+    fn table_pick_matches_the_reference_formula_for_every_country() {
+        for (ci, spec) in crate::policy::world_spec().iter().enumerate() {
+            let ci = ci as CountryIdx;
+            let n = spec.country.n_ases;
+            let picker = AsnPicker::new(ci, n);
+            // A uniform grid, both ends, every table entry and its
+            // floating-point neighbours.
+            let mut us: Vec<f64> = (0..=1000).map(|k| k as f64 / 1000.0).collect();
+            for &c in &picker.cdf {
+                us.extend([
+                    c,
+                    f64::from_bits(c.to_bits() - 1),
+                    f64::from_bits(c.to_bits() + 1),
+                ]);
+            }
+            for u in us {
+                assert_eq!(
+                    picker.pick(u),
+                    pick_asn_reference(ci, n, u),
+                    "country {} (n_ases {n}) at u = {u:e}",
+                    spec.country.code
+                );
+            }
+        }
+    }
+
     #[test]
     fn asn_pick_is_skewed_and_bounded() {
         let n = 10;
+        let picker = AsnPicker::new(3, n);
         let mut counts = vec![0u32; n];
         for k in 0..10_000 {
             let u = (k as f64 + 0.5) / 10_000.0;
-            let Asn(a) = pick_asn(3, n, u);
+            let Asn(a) = picker.pick(u);
             counts[(a - 3000) as usize] += 1;
         }
         assert!(counts[0] > counts[5], "AS sizes should be skewed");

@@ -6,7 +6,7 @@
 //! sharded across threads without changing a single byte of output.
 
 use crate::countries::{
-    as_enforcement_multiplier, day_index, local_hour, pick_asn, Asn, CountryIdx,
+    as_enforcement_multiplier, day_index, local_hour, Asn, AsnPicker, CountryIdx,
 };
 use crate::domains::{Category, Domain, DomainCatalog, DomainId};
 use crate::meta::{BenignKind, GroundTruth, LabeledFlow, SessionMeta};
@@ -85,6 +85,7 @@ pub struct WorldSim {
     country_weights: WeightedIndex<f64>,
     domain_samplers: Vec<WeightedIndex<f64>>,
     hour_samplers: Vec<WeightedIndex<f64>>,
+    asn_pickers: Vec<AsnPicker>,
     sampler: Sampler,
     /// The four designated SYN-payload magnet domains (§4.1: 93% of HTTP
     /// SYN payloads target four domains).
@@ -160,6 +161,11 @@ impl WorldSim {
             let weekend_mean = (5.0 + 2.0 * (1.0 - spec.policy.weekend_drop)) / 7.0;
             diurnal_norm.push((num / den) * weekend_mean);
         }
+        let asn_pickers = world
+            .iter()
+            .enumerate()
+            .map(|(ci, spec)| AsnPicker::new(ci as CountryIdx, spec.country.n_ases))
+            .collect();
         let sampler = Sampler::new(cfg.seed ^ 0x5A17, cfg.sample_denominator);
         let syn_payload_magnets = pick_magnets(&catalog);
         WorldSim {
@@ -170,6 +176,7 @@ impl WorldSim {
             country_weights,
             domain_samplers,
             hour_samplers,
+            asn_pickers,
             sampler,
             syn_payload_magnets,
             diurnal_norm,
@@ -263,7 +270,7 @@ impl WorldSim {
         let lh = local_hour(ts, spec.country.tz_offset_hours);
 
         // --- Placement ----------------------------------------------------
-        let asn = pick_asn(country, spec.country.n_ases, rng.gen());
+        let asn = self.asn_pickers[country as usize].pick(rng.gen());
         let ipv6 = rng.gen::<f64>() < spec.country.ipv6_share;
         let mut http = rng.gen::<f64>() < spec.country.http_share;
 

@@ -5,6 +5,8 @@
 //! failure gets a second chance to surface, a smoke run of
 //! `classify --metrics-json` on the golden fixture pcap, a cross-thread
 //! byte-identity smoke of `report` (`--threads 1` vs `--threads 2`), the
+//! benchmark's seed-1 output and digest checks on `world_report` and
+//! `classify_dense` (one short `perfbench/run.py` run each), the
 //! proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned,
 //! the zero-allocation discipline test and the linter's own fixture
 //! suite, and the tamperlint static-analysis gate in `--deny-new` mode
@@ -437,6 +439,56 @@ fn report_determinism_smoke() -> Result<(), String> {
     Ok(())
 }
 
+/// Benchmark output checks: one short untraced `perfbench/run.py` run
+/// per workload whose timed path is the simulator (`world_report`) or
+/// whose input is simulated (`classify_dense`). At seed 1 the benchmark
+/// compares its input and report digests with the ones it records, so
+/// any drift in the simulator's bytes fails here rather than in a
+/// benchmark run. The last stdout line must report `"correct": true`
+/// and `"failed": 0`.
+fn bench_digest_checks() -> Result<(), String> {
+    let root = repo_root();
+    for workload in ["world_report", "classify_dense"] {
+        let args = [
+            "perfbench/run.py",
+            "--workload",
+            workload,
+            "--seed",
+            "1",
+            "--seconds",
+            "1",
+            "--trace",
+            "0",
+        ];
+        eprintln!("==> bench digests: python3 {}", args.join(" "));
+        let out = Command::new("python3")
+            .args(args)
+            .current_dir(&root)
+            .output()
+            .map_err(|e| format!("bench digests: failed to spawn python3: {e}"))?;
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        if !out.status.success() {
+            return Err(format!(
+                "bench digests: {workload} exited with {}:\n{}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            ));
+        }
+        let last = stdout.lines().last().unwrap_or_default();
+        let doc = tamper_worldgen::json::Json::parse(last.trim())
+            .map_err(|e| format!("bench digests: {workload} result does not parse: {e}"))?;
+        let correct = doc.get("correct").and_then(|v| v.as_bool());
+        let failed = doc.get("failed").and_then(|v| v.as_u64());
+        if correct != Some(true) || failed != Some(0) {
+            return Err(format!(
+                "bench digests: {workload} output checks failed: {last}"
+            ));
+        }
+        eprintln!("==> bench digests: {workload} correct, 0 failed");
+    }
+    Ok(())
+}
+
 /// Multi-PoP pipeline smoke: split a small world across 3 points of
 /// presence with `pop-run`, `merge` the emitted partial aggregates, and
 /// require the merged report bytes to equal a single-machine `report` of
@@ -751,6 +803,7 @@ fn ci() -> Result<(), String> {
         sw.time("metrics smoke", metrics_smoke)?;
         sw.time("report smoke", report_determinism_smoke)?;
         sw.time("multi-pop smoke", multi_pop_smoke)?;
+        sw.time("bench digests", bench_digest_checks)?;
         sw.time("throughput smoke", throughput_smoke)?;
         sw.time("merge bench", merge_bench_smoke)?;
         sw.time("analyze", analyze_cold_warm)?;
@@ -815,7 +868,7 @@ fn main() -> ExitCode {
             "unknown task {task:?}\n\nUSAGE: cargo xtask <task>\n\nTASKS:\n  \
              ci                 fmt + clippy + release build + workspace tests + \
              determinism gates + alloc discipline + lint suite + metrics + \
-             report + multi-pop + throughput + merge-bench smokes + \
+             report + multi-pop + bench-digest + throughput + merge-bench smokes + \
              tamperlint cold+warm --deny-new + lint bench\n  \
              analyze [--json] [--deny-new] [--write-baseline] [--prune-baseline]\n          \
              [--no-cache] [--explain <rule>]\n                     \

@@ -9,6 +9,7 @@
 //! Rendering is budgeted the same way: a `classify --jsonl` line costs a
 //! fixed number of heap requests (the line and the two RST-delta
 //! packet-order vectors) and a default verdict line costs exactly one.
+//! Session generation has a mean budget per `WorldSim::gen_session` call.
 //!
 //! This is the runtime counterpart of tamperlint's static `hot-path-alloc`
 //! rule: the lint proves no allocation *constructor* is reachable from the
@@ -23,6 +24,7 @@ use tamperscope::capture::{
     run_engine, ClosedFlow, EngineConfig, FlowBatch, FlowTuple, OfflineConfig,
 };
 use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowMachine};
+use tamperscope::worldgen::{WorldConfig, WorldSim};
 
 /// A counting pass-through allocator: every heap request bumps a counter
 /// owned by the requesting thread. Libtest runs tests on parallel
@@ -301,4 +303,28 @@ fn rendering_a_verdict_line_allocates_only_the_line() {
     }
     // The budget covers lines that carry an SNI/Host domain too.
     assert!(with_domain > 0, "golden corpus has no domain-bearing flow");
+}
+
+/// Mean heap requests per `WorldSim::gen_session` call over the first
+/// 2000 sessions of the seed-1 standard world (rejected sessions count
+/// in the denominator). The simulator keeps its event payloads in a
+/// per-session slab behind a key-only heap, hands arriving packets to
+/// the endpoints by reference, and shares response bytes; re-adding a
+/// per-arrival packet clone or a per-segment body copy breaks the budget.
+const GEN_SESSION_ALLOCS_PER_SESSION: f64 = 35.0;
+
+#[test]
+fn generating_a_world_session_stays_within_its_allocation_budget() {
+    let sim = WorldSim::new(WorldConfig {
+        seed: 1,
+        ..WorldConfig::default()
+    });
+    let sessions = 2000u64;
+    let (allocs, kept) = counted(|| (0..sessions).filter_map(|i| sim.gen_session(i)).count());
+    assert!(kept > 0, "no session survived sampling");
+    let mean = allocs as f64 / sessions as f64;
+    assert!(
+        mean <= GEN_SESSION_ALLOCS_PER_SESSION,
+        "gen_session made {mean:.2} heap requests per session; budget {GEN_SESSION_ALLOCS_PER_SESSION}"
+    );
 }

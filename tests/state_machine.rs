@@ -186,6 +186,22 @@ fn downlink(
         .build()
 }
 
+/// One scripted endpoint input. It owns its packet; [`Scripted::input`]
+/// lends it to the machine the way the session driver does.
+enum Scripted<T> {
+    Packet(tamperscope::wire::Packet),
+    Timer(T),
+}
+
+impl<T: Copy> Scripted<T> {
+    fn input(&self) -> EndpointInput<'_, T> {
+        match self {
+            Scripted::Packet(pkt) => EndpointInput::Packet(pkt),
+            Scripted::Timer(t) => EndpointInput::Timer(*t),
+        }
+    }
+}
+
 /// The client archetypes the replay property cycles through.
 fn client_kind(idx: usize) -> ClientKind {
     match idx % 6 {
@@ -200,27 +216,27 @@ fn client_kind(idx: usize) -> ClientKind {
     }
 }
 
-fn client_input(op: u8) -> EndpointInput<ClientTimer> {
+fn client_input(op: u8) -> Scripted<ClientTimer> {
     match op % 10 {
-        0 => EndpointInput::Packet(downlink(TcpFlags::SYN_ACK, 0x7000_0000, 0x1000_0001, b"")),
-        1 => EndpointInput::Packet(downlink(TcpFlags::ACK, 0x7000_0001, 0x1000_0001, b"")),
-        2 => EndpointInput::Packet(downlink(
+        0 => Scripted::Packet(downlink(TcpFlags::SYN_ACK, 0x7000_0000, 0x1000_0001, b"")),
+        1 => Scripted::Packet(downlink(TcpFlags::ACK, 0x7000_0001, 0x1000_0001, b"")),
+        2 => Scripted::Packet(downlink(
             TcpFlags::PSH_ACK,
             0x7000_0001,
             0x1000_0001,
             b"resp",
         )),
-        3 => EndpointInput::Packet(downlink(TcpFlags::FIN_ACK, 0x7000_0005, 0x1000_0001, b"")),
-        4 => EndpointInput::Packet(downlink(TcpFlags::RST, 0x7000_0001, 0, b"")),
-        5 => EndpointInput::Timer(ClientTimer::RetransmitSyn),
-        6 => EndpointInput::Timer(ClientTimer::RetransmitRequest),
-        7 => EndpointInput::Timer(ClientTimer::HappyEyeballsCancel),
-        8 => EndpointInput::Timer(ClientTimer::SecondRequest),
-        _ => EndpointInput::Timer(ClientTimer::Close),
+        3 => Scripted::Packet(downlink(TcpFlags::FIN_ACK, 0x7000_0005, 0x1000_0001, b"")),
+        4 => Scripted::Packet(downlink(TcpFlags::RST, 0x7000_0001, 0, b"")),
+        5 => Scripted::Timer(ClientTimer::RetransmitSyn),
+        6 => Scripted::Timer(ClientTimer::RetransmitRequest),
+        7 => Scripted::Timer(ClientTimer::HappyEyeballsCancel),
+        8 => Scripted::Timer(ClientTimer::SecondRequest),
+        _ => Scripted::Timer(ClientTimer::Close),
     }
 }
 
-fn server_input(op: u8) -> EndpointInput<ServerTimer> {
+fn server_input(op: u8) -> Scripted<ServerTimer> {
     let uplink = |flags: TcpFlags, seq: u32, payload: &'static [u8]| {
         PacketBuilder::new(CLIENT, SERVER, 40_000, 443)
             .flags(flags)
@@ -231,12 +247,12 @@ fn server_input(op: u8) -> EndpointInput<ServerTimer> {
             .build()
     };
     match op % 6 {
-        0 => EndpointInput::Packet(uplink(TcpFlags::SYN, 0x1000_0000, b"")),
-        1 => EndpointInput::Packet(uplink(TcpFlags::ACK, 0x1000_0001, b"")),
-        2 => EndpointInput::Packet(uplink(TcpFlags::PSH_ACK, 0x1000_0001, b"hello")),
-        3 => EndpointInput::Packet(uplink(TcpFlags::FIN_ACK, 0x1000_0006, b"")),
-        4 => EndpointInput::Packet(uplink(TcpFlags::RST, 0x1000_0001, b"")),
-        _ => EndpointInput::Timer(ServerTimer::RetransmitSynAck),
+        0 => Scripted::Packet(uplink(TcpFlags::SYN, 0x1000_0000, b"")),
+        1 => Scripted::Packet(uplink(TcpFlags::ACK, 0x1000_0001, b"")),
+        2 => Scripted::Packet(uplink(TcpFlags::PSH_ACK, 0x1000_0001, b"hello")),
+        3 => Scripted::Packet(uplink(TcpFlags::FIN_ACK, 0x1000_0006, b"")),
+        4 => Scripted::Packet(uplink(TcpFlags::RST, 0x1000_0001, b"")),
+        _ => Scripted::Timer(ServerTimer::RetransmitSynAck),
     }
 }
 
@@ -312,7 +328,7 @@ proptest! {
             log.push_str(&format!("{a:?}\n"));
             for (op, dt) in &script {
                 now += SimDuration::from_secs(*dt);
-                let a = client.process(client_input(*op), now, &mut rng);
+                let a = client.process(client_input(*op).input(), now, &mut rng);
                 log.push_str(&format!("{a:?}|closed={}\n", client.is_closed()));
             }
             log
@@ -335,7 +351,7 @@ proptest! {
             log.push_str(&format!("{a:?}\n"));
             for (op, dt) in &script {
                 now += SimDuration::from_secs(*dt);
-                let a = server.process(server_input(*op), now, &mut rng);
+                let a = server.process(server_input(*op).input(), now, &mut rng);
                 log.push_str(&format!("{a:?}|closed={}\n", server.is_closed()));
             }
             log
