@@ -49,7 +49,7 @@ impl Collector {
     }
 
     /// Classify and record one flow (through the sans-IO [`FlowMachine`];
-    /// differentially tested against the legacy classifier in
+    /// differentially tested against a reference classifier in
     /// `tests/state_machine.rs`).
     pub fn observe(&mut self, lf: &LabeledFlow) {
         let analysis = self.machine.analyze(&lf.flow);
@@ -144,7 +144,7 @@ mod tests {
         };
         let mut serial = mk();
         sim.run(|lf| serial.observe(&lf));
-        let sharded = sim.run_sharded(4, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
+        let sharded = sim.run_sharded(4, None, mk, |c, lf| c.observe(&lf), |a, b| a.merge(b));
         assert_eq!(serial.total, sharded.total);
         assert_eq!(serial.possibly_tampered, sharded.possibly_tampered);
         assert_eq!(serial.country_class, sharded.country_class);

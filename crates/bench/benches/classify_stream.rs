@@ -4,9 +4,18 @@
 //! columnar batch path ([`PcapMemSource`] → [`BatchClassifier`]) at
 //! 1/2/4/8 shards, checks the outputs agree, and records flows/sec per
 //! shard count in `BENCH_classify_stream.json` at the repo root (set
-//! `BENCH_OUT_PATH` to write elsewhere). A single-threaded run of the
-//! legacy per-flow path ([`run_engine`] → `Classifier`) rides along for
-//! comparison.
+//! `BENCH_OUT_PATH` to write elsewhere).
+//!
+//! A single-threaded `control` row rides along: the same
+//! [`PcapMemSource`] ingest, but each flow is materialized, classified by
+//! a per-flow [`FlowMachine`], labeled and aggregated into a
+//! [`Collector`]. Its classify, label and aggregate half differs from
+//! the batched row's on purpose; its ingest half (framing, `PacketView`
+//! parsing, the `ColumnarFlowTable`) is shared. It is recorded together
+//! with the batched figure of the same run, so `cargo xtask ci` can tell
+//! host load (both slow down) from a batch-classify regression (only the
+//! batched row does). An ingest regression slows both rows alike, so the
+//! ratio does not see it; only the absolute floor does.
 //!
 //! Thread counts above the host's core count are skipped outright and
 //! recorded with `"skipped_oversubscribed": true` — timing an 8-shard
@@ -18,10 +27,9 @@ use std::time::Instant;
 
 use tamper_analysis::{capture_collector, label_capture_flow, Collector};
 use tamper_capture::{
-    run_engine, run_source, ClosedFlow, EngineConfig, EngineStats, FlowBatch, OfflineConfig,
-    PcapMemSource, PcapWriter,
+    run_source, EngineConfig, EngineStats, FlowBatch, OfflineConfig, PcapMemSource, PcapWriter,
 };
-use tamper_core::{BatchClassifier, Classifier, ClassifierConfig};
+use tamper_core::{BatchClassifier, ClassifierConfig, FlowMachine};
 use tamper_wire::{PacketBuilder, TcpFlags};
 
 const FLOWS: u32 = 120_000;
@@ -122,33 +130,37 @@ fn run_batched(bytes: &bytes::Bytes, threads: usize) -> (u64, u64, EngineStats) 
     (sink.flows, sink.tampered, stats)
 }
 
-struct LegacySink {
-    clf: Classifier,
+/// Per-shard accumulator for the control run: one per-flow machine and a
+/// collector.
+struct ControlSink {
+    machine: FlowMachine,
     col: Collector,
 }
 
-fn run_legacy(bytes: &[u8]) -> (Collector, EngineStats) {
+fn run_control(bytes: &bytes::Bytes) -> (Collector, EngineStats) {
     let cfg = EngineConfig {
         offline: OfflineConfig::default(),
         threads: 1,
         ..EngineConfig::default()
     };
     let clf_cfg = ClassifierConfig::default();
-    let (sink, stats) = run_engine(
-        bytes,
+    let src = PcapMemSource::new(bytes.clone()).expect("pcap header");
+    let (sink, stats) = run_source(
+        src,
         &cfg,
-        || LegacySink {
-            clf: Classifier::new(clf_cfg),
+        || ControlSink {
+            machine: FlowMachine::new(clf_cfg),
             col: capture_collector(clf_cfg, 0),
         },
-        |sink: &mut LegacySink, closed: ClosedFlow| {
-            let lf = label_capture_flow(closed.flow);
-            let analysis = sink.clf.classify(&lf.flow);
-            sink.col.observe_analyzed(&lf, &analysis);
+        |sink: &mut ControlSink, batch: FlowBatch| {
+            for i in 0..batch.flow_count() {
+                let lf = label_capture_flow(batch.materialize(i));
+                let analysis = sink.machine.analyze(&lf.flow);
+                sink.col.observe_analyzed(&lf, &analysis);
+            }
         },
         |a, b| a.col.merge(b.col),
-    )
-    .expect("engine run");
+    );
     (sink.col, stats)
 }
 
@@ -160,27 +172,28 @@ fn main() {
     let bytes = bytes::Bytes::from(synth_capture(FLOWS));
     eprintln!("capture: {} MiB on {cores} core(s)", bytes.len() >> 20);
 
-    // Legacy per-flow path, single shard, for the comparison row. Also
-    // the reference verdict counts the batched runs must reproduce.
-    let (legacy_col, legacy_stats) = run_legacy(&bytes);
-    let legacy_start = Instant::now();
-    let (legacy_col2, _) = run_legacy(&bytes);
-    let legacy_secs = legacy_start.elapsed().as_secs_f64();
-    assert_eq!(legacy_col.total, legacy_col2.total);
-    let legacy_fps = legacy_stats.ingest.flows as f64 / legacy_secs;
-    eprintln!("legacy 1-thread: {legacy_secs:.3}s, {legacy_fps:.0} flows/s");
+    // Control run, single shard. Also the reference verdict counts the
+    // batched runs must reproduce.
+    let (control_col, control_stats) = run_control(&bytes);
+    let control_start = Instant::now();
+    let (control_col2, _) = run_control(&bytes);
+    let control_secs = control_start.elapsed().as_secs_f64();
+    assert_eq!(control_col.total, control_col2.total);
+    let control_fps = control_stats.ingest.flows as f64 / control_secs;
+    eprintln!("control 1-thread: {control_secs:.3}s, {control_fps:.0} flows/s");
 
     // Warm up page cache / allocator on the batched path, and pin the
-    // batched verdicts to the legacy ones.
+    // batched verdicts to the control ones.
     let (base_flows, base_tampered, base_stats) = run_batched(&bytes, 1);
-    assert_eq!(base_flows, legacy_col.total, "flow totals diverged");
+    assert_eq!(base_flows, control_col.total, "flow totals diverged");
     assert_eq!(
-        base_tampered, legacy_col.possibly_tampered,
-        "verdicts diverged between batched and legacy paths"
+        base_tampered, control_col.possibly_tampered,
+        "batched and control verdict counts disagree"
     );
 
     let mut rows = Vec::new();
     let mut base_secs = 0f64;
+    let mut base_fps = 0f64;
     for &threads in &THREAD_COUNTS {
         if threads > cores {
             eprintln!("threads {threads}: skipped (host has {cores} core(s))");
@@ -201,10 +214,11 @@ fn main() {
             "verdicts diverged at {threads} shards"
         );
         assert_eq!(stats.ingest.flows, base_stats.ingest.flows);
+        let fps = stats.ingest.flows as f64 / secs;
         if threads == 1 {
             base_secs = secs;
+            base_fps = fps;
         }
-        let fps = stats.ingest.flows as f64 / secs;
         let speedup = base_secs / secs;
         eprintln!("threads {threads}: {secs:.3}s, {fps:.0} flows/s, {speedup:.2}x vs 1",);
         rows.push(format!(
@@ -213,7 +227,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"classify_stream\",\n  \"flows\": {},\n  \"records\": {},\n  \"cores\": {cores},\n  \"legacy\": {{\"threads\": 1, \"secs\": {legacy_secs:.4}, \"flows_per_sec\": {legacy_fps:.0}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"classify_stream\",\n  \"flows\": {},\n  \"records\": {},\n  \"cores\": {cores},\n  \"control\": {{\"threads\": 1, \"secs\": {control_secs:.4}, \"flows_per_sec\": {control_fps:.0}, \"batched_flows_per_sec\": {base_fps:.0}}},\n  \"runs\": [\n{}\n  ]\n}}\n",
         base_stats.ingest.flows,
         base_stats.records,
         rows.join(",\n"),

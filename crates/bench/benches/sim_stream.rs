@@ -56,6 +56,7 @@ fn main() {
         let start = Instant::now();
         let col = sim.run_sharded(
             threads,
+            None,
             || collector(&sim),
             |c, lf| c.observe(&lf),
             |a, b| a.merge(b),

@@ -3,19 +3,18 @@
 //! One reader thread pulls work items off a [`FlowSource`] and fans them
 //! out over bounded channels to N worker shards chosen by the source's
 //! pure routing function. Each shard owns the source's worker-side state
-//! (for pcap: a slice of the flow table, see [`FlowTable`]), turns items
-//! into finished flows *as the stream runs*, and folds every emitted flow
-//! into a caller-supplied accumulator. The per-shard accumulators are
-//! merged in shard order at the end, so the result is byte-identical for
-//! any thread count.
+//! (for pcap: a [`ColumnarFlowTable`] over its slice of the flows), turns
+//! items into finished flows *as the stream runs*, and folds every emitted
+//! output into a caller-supplied accumulator. The per-shard accumulators
+//! are merged in shard order at the end, so the result is byte-identical
+//! for any thread count.
 //!
-//! The front-ends live in [`crate::source`]: [`PcapSource`] (raw capture
-//! bytes), [`crate::source::RecordSource`] (assembled [`crate::FlowRecord`]
-//! streams), and [`crate::source::SimSource`] (deterministic generators —
-//! `worldgen` worlds stream straight in with no intermediate pcap and no
-//! second sharding implementation).
+//! The front-ends live in [`crate::source`]: [`crate::PcapMemSource`]
+//! (capture bytes held in memory) and [`crate::SimSource`] (deterministic
+//! generators — `worldgen` worlds stream straight in with no intermediate
+//! pcap and no second sharding implementation).
 //!
-//! [`FlowTable`]: crate::offline::FlowTable
+//! [`ColumnarFlowTable`]: crate::offline::ColumnarFlowTable
 //!
 //! # Determinism
 //!
@@ -52,15 +51,13 @@
 //! Channels are bounded, so a slow shard backpressures the reader instead
 //! of growing a queue.
 
-use crate::offline::{ClosedFlow, IngestStats, OfflineConfig};
-use crate::pcap::PcapError;
-use crate::source::{FlowSource, PcapSource, ShardStats, SourceShard};
+use crate::offline::{IngestStats, OfflineConfig};
+use crate::source::{FlowSource, ShardStats, SourceShard};
 use crossbeam::channel::{bounded, Receiver, TrySendError};
-use std::io::Read;
 use std::sync::atomic::{AtomicU64, Ordering};
 use tamper_obs::{Registry, ScopeMetrics};
 
-/// Configuration for [`run_engine`] / [`run_source`].
+/// Configuration for [`run_source`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
     /// Flow-assembly constraints (ports, packet cap, timeout).
@@ -120,7 +117,7 @@ pub struct EngineStats {
     /// generator indices).
     pub records: u64,
     /// Flow-assembly counters (flows, packets kept, truncated, unparsable,
-    /// not-inbound) — same meanings as the legacy single-pass path.
+    /// not-inbound), summed over the shards.
     pub ingest: IngestStats,
     /// Flows evicted because their inactivity timeout elapsed mid-capture.
     pub evicted_timeout: u64,
@@ -160,13 +157,14 @@ struct ShardOutcome<T> {
 }
 
 /// Drain a shard's emitted outputs into its accumulator, charging the
-/// classify timer and latency histogram per output.
+/// classify timer and latency histogram per output. Closed flows are
+/// counted by the shards themselves, which know how many flows an output
+/// carries.
 fn fold_outputs<T, O, FO>(observe: &FO, acc: &mut T, emit: &mut Vec<O>, sm: &mut ScopeMetrics)
 where
     FO: Fn(&mut T, O),
 {
     for out in emit.drain(..) {
-        sm.count("flows_closed", 1);
         let sw = sm.start();
         observe(acc, out);
         // One clock read feeds both the stage timer and the latency
@@ -222,59 +220,6 @@ where
         },
         sm,
     )
-}
-
-/// Run the streaming engine over a pcap stream.
-///
-/// `init` builds one accumulator per shard, `observe` folds each closed
-/// flow into its shard's accumulator, and `merge` combines shard
-/// accumulators (in shard order) into the first shard's. This is the same
-/// fold/merge shape as `WorldSim::run_sharded`, so an
-/// `analysis::Collector` drops in directly.
-///
-/// A malformed global header aborts with the error; a corrupt record
-/// mid-stream ends reading with [`EngineStats::corrupt_tail`] set and
-/// everything before it processed normally.
-pub fn run_engine<R, T, FI, FO, FM>(
-    input: R,
-    cfg: &EngineConfig,
-    init: FI,
-    observe: FO,
-    merge: FM,
-) -> Result<(T, EngineStats), PcapError>
-where
-    R: Read,
-    T: Send,
-    FI: Fn() -> T + Sync,
-    FO: Fn(&mut T, ClosedFlow) + Sync,
-    FM: FnMut(&mut T, T),
-{
-    run_engine_observed(input, cfg, None, init, observe, merge)
-}
-
-/// [`run_engine`] with an optional [`Registry`] attached — the pcap
-/// instantiation of [`run_source_observed`].
-///
-/// A malformed global header aborts with the error; a corrupt record
-/// mid-stream ends reading with [`EngineStats::corrupt_tail`] set and
-/// everything before it processed normally.
-pub fn run_engine_observed<R, T, FI, FO, FM>(
-    input: R,
-    cfg: &EngineConfig,
-    obs: Option<&Registry>,
-    init: FI,
-    observe: FO,
-    merge: FM,
-) -> Result<(T, EngineStats), PcapError>
-where
-    R: Read,
-    T: Send,
-    FI: Fn() -> T + Sync,
-    FO: Fn(&mut T, ClosedFlow) + Sync,
-    FM: FnMut(&mut T, T),
-{
-    let src = PcapSource::new(input)?;
-    Ok(run_source_observed(src, cfg, obs, init, observe, merge))
 }
 
 /// Run the streaming engine over any [`FlowSource`].
@@ -558,7 +503,8 @@ mod tests {
     use super::*;
     use crate::offline::EvictionCause;
     use crate::pcap::PcapWriter;
-    use crate::source::{RecordSource, SimSource};
+    use crate::record::{FlowBatch, FlowRecord};
+    use crate::source::{PcapMemSource, SimSource};
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr};
     use tamper_wire::{PacketBuilder, TcpFlags};
@@ -586,17 +532,22 @@ mod tests {
             .to_vec()
     }
 
-    /// Collect every closed flow, tagged with its first-seen index.
-    fn collect_flows(bytes: &[u8], cfg: &EngineConfig) -> (Vec<ClosedFlow>, EngineStats) {
-        let (mut flows, stats) = run_engine(
-            bytes,
-            cfg,
-            Vec::new,
-            |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
-            |a, mut b| a.append(&mut b),
-        )
-        .unwrap();
-        flows.sort_unstable_by_key(|cf| cf.first_index);
+    /// One closed flow: first-seen index, record, eviction cause.
+    type Closed = (u64, FlowRecord, EvictionCause);
+
+    /// Fold every emitted batch into its closed flows.
+    fn push_batch(acc: &mut Vec<Closed>, batch: FlowBatch) {
+        for (i, span) in batch.spans().iter().enumerate() {
+            acc.push((span.first_index, batch.materialize(i), span.cause));
+        }
+    }
+
+    /// Collect every closed flow, in first-seen order.
+    fn collect_flows(bytes: &[u8], cfg: &EngineConfig) -> (Vec<Closed>, EngineStats) {
+        let src = PcapMemSource::new(Bytes::copy_from_slice(bytes)).unwrap();
+        let (mut flows, stats) =
+            run_source(src, cfg, Vec::new, push_batch, |a, mut b| a.append(&mut b));
+        flows.sort_unstable_by_key(|(first_index, _, _)| *first_index);
         (flows, stats)
     }
 
@@ -614,25 +565,6 @@ mod tests {
                 .unwrap();
         }
         w.into_inner()
-    }
-
-    #[test]
-    fn engine_matches_legacy_path_for_any_thread_count() {
-        let bytes = capture(120);
-        let (legacy_flows, legacy_stats) =
-            crate::offline::flows_from_pcap(&bytes[..], &OfflineConfig::default()).unwrap();
-        for threads in [1, 2, 3, 8] {
-            let cfg = EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            };
-            let (flows, stats) = collect_flows(&bytes, &cfg);
-            assert_eq!(flows.len(), legacy_flows.len(), "threads={threads}");
-            for (cf, lf) in flows.iter().zip(&legacy_flows) {
-                assert_eq!(&cf.flow, lf, "threads={threads}");
-            }
-            assert_eq!(stats.ingest, legacy_stats, "threads={threads}");
-        }
     }
 
     #[test]
@@ -657,8 +589,8 @@ mod tests {
         assert_eq!(stats.ingest.flows, 3);
         assert_eq!(stats.evicted_timeout, 1);
         assert_eq!(stats.drained_eof, 2);
-        assert_eq!(flows[0].cause, EvictionCause::Timeout);
-        assert_eq!(flows[0].flow.observation_end_sec, 100 + 30);
+        assert_eq!(flows[0].2, EvictionCause::Timeout);
+        assert_eq!(flows[0].1.observation_end_sec, 100 + 30);
     }
 
     #[test]
@@ -730,167 +662,50 @@ mod tests {
     #[test]
     fn observed_run_publishes_scopes_without_changing_output() {
         let bytes = capture(100);
-        let cfg = EngineConfig {
-            threads: 3,
-            ..EngineConfig::default()
-        };
-        let (plain_flows, plain_stats) = collect_flows(&bytes, &cfg);
-
-        let reg = Registry::new();
-        let (mut flows, stats) = run_engine_observed(
-            &bytes[..],
-            &cfg,
-            Some(&reg),
-            Vec::new,
-            |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
-            |a, mut b| a.append(&mut b),
-        )
-        .unwrap();
-        flows.sort_unstable_by_key(|cf| cf.first_index);
-        assert_eq!(flows.len(), plain_flows.len());
-        assert_eq!(stats, plain_stats, "registry must not perturb stats");
-
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap.scopes.iter().map(|s| s.scope.as_str()).collect();
-        assert_eq!(names, vec!["merge", "reader", "shard0", "shard1", "shard2"]);
-        let reader = snap.scope("reader").unwrap();
-        assert_eq!(reader.counter("records"), stats.records);
-        assert!(reader.timer("read").is_some());
-        // Every routed record reaches some shard exactly once.
-        assert_eq!(snap.counter_sum("shard", "records"), stats.records);
-        assert_eq!(
-            snap.counter_sum("shard", "flows_closed"),
-            stats.ingest.flows
-        );
-        let merge = snap.scope("merge").unwrap();
-        assert_eq!(merge.gauge("threads"), 3);
-        assert_eq!(merge.gauge("max_live_flows"), stats.max_live_flows);
-        assert!(merge.gauge("sum_high_water") >= merge.gauge("max_live_flows"));
-        let shard0 = snap.scope("shard0").unwrap();
-        assert!(shard0.histogram("classify_latency_ns").is_some());
-        assert!(shard0.timer("parse").is_some());
-    }
-
-    #[test]
-    fn mem_batch_engine_matches_closed_flow_engine() {
-        use crate::record::{FlowBatch, FlowRecord};
-        use crate::source::PcapMemSource;
-        let bytes = capture(300);
-        let (reference, ref_stats) = collect_flows(
-            &bytes,
-            &EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-        );
-        // Exercise cap pressure too, so every eviction cause appears.
-        for (threads, max_flows, batch_flows) in [(1, 0, 16), (2, 0, 1), (8, 0, 512), (2, 32, 7)] {
+        for threads in [1usize, 2, 3] {
             let cfg = EngineConfig {
                 threads,
-                max_flows,
                 ..EngineConfig::default()
             };
-            let (exp, exp_stats) = if max_flows == 0 {
-                (reference.clone(), ref_stats)
-            } else {
-                collect_flows(
-                    &bytes,
-                    &EngineConfig {
-                        threads,
-                        max_flows,
-                        ..EngineConfig::default()
-                    },
-                )
-            };
+            let (plain_flows, plain_stats) = collect_flows(&bytes, &cfg);
+
+            let reg = Registry::new();
+            // Small batches: several per shard, so a per-batch count could
+            // not pass for a per-flow one.
             let src = PcapMemSource::new(Bytes::from(bytes.clone()))
                 .unwrap()
-                .with_batch_flows(batch_flows);
-            let (mut got, stats) = run_source(
-                src,
-                &cfg,
-                Vec::new,
-                |acc: &mut Vec<(u64, FlowRecord, EvictionCause)>, batch: FlowBatch| {
-                    for (i, span) in batch.spans().iter().enumerate() {
-                        acc.push((span.first_index, batch.materialize(i), span.cause));
-                    }
-                },
-                |a, mut b| a.append(&mut b),
-            );
-            got.sort_unstable_by_key(|(idx, _, _)| *idx);
-            assert_eq!(got.len(), exp.len(), "threads={threads}");
-            for ((idx, flow, cause), cf) in got.iter().zip(&exp) {
-                assert_eq!(*idx, cf.first_index, "threads={threads}");
-                assert_eq!(flow, &cf.flow, "threads={threads}");
-                assert_eq!(*cause, cf.cause, "threads={threads}");
-            }
-            assert_eq!(stats.records, exp_stats.records, "threads={threads}");
-            assert_eq!(stats.ingest, exp_stats.ingest, "threads={threads}");
+                .with_batch_flows(8);
+            let (mut flows, stats) =
+                run_source_observed(src, &cfg, Some(&reg), Vec::new, push_batch, |a, mut b| {
+                    a.append(&mut b)
+                });
+            flows.sort_unstable_by_key(|(first_index, _, _)| *first_index);
+            assert_eq!(flows, plain_flows, "threads={threads}");
+            assert_eq!(stats, plain_stats, "registry must not perturb stats");
+
+            let snap = reg.snapshot();
+            let names: Vec<&str> = snap.scopes.iter().map(|s| s.scope.as_str()).collect();
+            let mut want = vec!["merge".to_string(), "reader".to_string()];
+            want.extend((0..threads).map(|i| format!("shard{i}")));
+            assert_eq!(names, want);
+            let reader = snap.scope("reader").unwrap();
+            assert_eq!(reader.counter("records"), stats.records);
+            assert!(reader.timer("read").is_some());
+            // Every routed record reaches some shard exactly once, and
+            // every closed flow is counted once, not once per batch.
+            assert_eq!(snap.counter_sum("shard", "records"), stats.records);
             assert_eq!(
-                (stats.evicted_timeout, stats.evicted_cap, stats.drained_eof),
-                (
-                    exp_stats.evicted_timeout,
-                    exp_stats.evicted_cap,
-                    exp_stats.drained_eof
-                ),
+                snap.counter_sum("shard", "flows_closed"),
+                stats.ingest.flows,
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn mem_source_corrupt_tail_matches_stream_source() {
-        use crate::record::FlowBatch;
-        use crate::source::PcapMemSource;
-        let mut bytes = capture(10);
-        bytes.truncate(bytes.len() - 7);
-        let src = PcapMemSource::new(Bytes::from(bytes)).unwrap();
-        let cfg = EngineConfig {
-            threads: 2,
-            ..EngineConfig::default()
-        };
-        let (batches, stats) = run_source(
-            src,
-            &cfg,
-            Vec::new,
-            |acc: &mut Vec<FlowBatch>, b| acc.push(b),
-            |a, mut b| a.append(&mut b),
-        );
-        assert!(stats.corrupt_tail);
-        assert_eq!(stats.records, 29); // the torn 30th record is dropped
-        assert!(batches.iter().any(|b| !b.is_empty()));
-    }
-
-    #[test]
-    fn record_source_replays_assembled_flows_through_the_engine() {
-        // Assemble flows once from pcap, then replay the records through
-        // RecordSource: same flows come out, at any shard count.
-        let bytes = capture(60);
-        let (reference, _) = collect_flows(
-            &bytes,
-            &EngineConfig {
-                threads: 1,
-                ..EngineConfig::default()
-            },
-        );
-        let records: Vec<_> = reference.iter().map(|cf| cf.flow.clone()).collect();
-        for threads in [1, 3] {
-            let cfg = EngineConfig {
-                threads,
-                ..EngineConfig::default()
-            };
-            let (mut replayed, stats) = run_source(
-                RecordSource::from_vec(records.clone()),
-                &cfg,
-                Vec::new,
-                |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
-                |a: &mut Vec<ClosedFlow>, mut b| a.append(&mut b),
-            );
-            replayed.sort_unstable_by_key(|cf| cf.first_index);
-            assert_eq!(stats.records, records.len() as u64);
-            assert_eq!(stats.ingest.flows, records.len() as u64);
-            assert_eq!(stats.drained_eof, records.len() as u64);
-            let got: Vec<_> = replayed.iter().map(|cf| cf.flow.clone()).collect();
-            assert_eq!(got, records, "threads={threads}");
+            let merge = snap.scope("merge").unwrap();
+            assert_eq!(merge.gauge("threads"), threads as u64);
+            assert_eq!(merge.gauge("max_live_flows"), stats.max_live_flows);
+            assert!(merge.gauge("sum_high_water") >= merge.gauge("max_live_flows"));
+            let shard0 = snap.scope("shard0").unwrap();
+            assert!(shard0.histogram("classify_latency_ns").is_some());
+            assert!(shard0.timer("parse").is_some());
         }
     }
 
@@ -907,9 +722,11 @@ mod tests {
                 threads,
                 ..EngineConfig::default()
             };
-            let (got, stats) = run_source(
+            let reg = Registry::new();
+            let (got, stats) = run_source_observed(
                 SimSource::new(total, &gen),
                 &cfg,
+                Some(&reg),
                 Vec::new,
                 |acc: &mut Vec<u64>, v| acc.push(v),
                 |a: &mut Vec<u64>, mut b| a.append(&mut b),
@@ -917,6 +734,10 @@ mod tests {
             assert_eq!(got, serial, "threads={threads}");
             assert_eq!(stats.records, total);
             assert_eq!(stats.ingest.flows, serial.len() as u64);
+            assert_eq!(
+                reg.snapshot().counter_sum("shard", "flows_closed"),
+                serial.len() as u64
+            );
         }
     }
 }

@@ -6,7 +6,8 @@
 //! paper's deployment (§3.2): a deterministic 1-in-N connection sampler,
 //! inbound-only logging, 10-packet truncation, one-second timestamp
 //! quantization, and out-of-order logging — plus a classic libpcap
-//! writer/reader so captures interoperate with standard tooling.
+//! writer and an in-memory pcap front end for the streaming engine, so
+//! captures interoperate with standard tooling.
 
 pub mod engine;
 pub mod offline;
@@ -16,21 +17,18 @@ pub mod record;
 pub mod sampler;
 pub mod source;
 
-pub use engine::{
-    run_engine, run_engine_observed, run_source, run_source_observed, EngineConfig, EngineStats,
-};
+pub use engine::{run_source, run_source_observed, EngineConfig, EngineStats};
 pub use offline::{
-    flows_from_pcap, flows_from_pcap_observed, flows_from_records, flows_from_records_observed,
-    ClosedFlow, ColumnarFlowTable, EvictionCause, FlowKey, FlowKeyHasher, FlowTable, IngestStats,
+    flows_from_pcap, ColumnarFlowTable, EvictionCause, FlowKey, FlowKeyHasher, IngestStats,
     OfflineConfig,
 };
-pub use pcap::{write_session_trace, PcapError, PcapReader, PcapRecord, PcapWriter};
+pub use pcap::{write_session_trace, PcapError, PcapWriter};
 pub use pipeline::{collect, CollectorConfig};
 pub use record::{
     FlowBatch, FlowCols, FlowRecord, FlowSpan, FlowTuple, PacketRecord, PacketRow, NO_IP_ID,
 };
 pub use sampler::Sampler;
 pub use source::{
-    FlowSource, PcapBatchShard, PcapItem, PcapMemItem, PcapMemSource, PcapShard, PcapSource,
-    RecordShard, RecordSource, ShardStats, SimShard, SimSource, SourceShard, DEFAULT_BATCH_FLOWS,
+    FlowSource, PcapBatchShard, PcapMemItem, PcapMemSource, ShardStats, SimShard, SimSource,
+    SourceShard, DEFAULT_BATCH_FLOWS,
 };

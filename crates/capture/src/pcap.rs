@@ -28,17 +28,6 @@ fn le_u32(buf: &[u8], at: usize) -> u32 {
     u32::from_le_bytes(b)
 }
 
-/// One captured record: a timestamp and the raw frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PcapRecord {
-    /// Seconds since the epoch.
-    pub ts_sec: u32,
-    /// Microseconds within the second.
-    pub ts_usec: u32,
-    /// Raw IP frame bytes.
-    pub frame: Vec<u8>,
-}
-
 /// Streaming pcap writer.
 pub struct PcapWriter<W: Write> {
     out: W,
@@ -117,189 +106,21 @@ impl From<io::Error> for PcapError {
     }
 }
 
-/// Streaming pcap reader.
-pub struct PcapReader<R: Read> {
-    input: R,
-}
-
-impl<R: Read> PcapReader<R> {
-    /// Open a reader, validating the global header.
-    pub fn new(mut input: R) -> Result<PcapReader<R>, PcapError> {
-        let mut header = [0u8; 24];
-        input.read_exact(&mut header)?;
-        let magic = le_u32(&header, 0);
-        if magic != MAGIC {
-            return Err(PcapError::BadMagic(magic));
-        }
-        let linktype = le_u32(&header, 20);
-        if linktype != LINKTYPE_RAW {
-            return Err(PcapError::BadLinkType(linktype));
-        }
-        Ok(PcapReader { input })
+/// Validate a classic pcap global header: the little-endian magic and
+/// LINKTYPE_RAW. A capture shorter than the 24-byte header fails the same
+/// way a short `read_exact` does.
+pub(crate) fn check_global_header(mut input: &[u8]) -> Result<(), PcapError> {
+    let mut header = [0u8; 24];
+    input.read_exact(&mut header)?;
+    let magic = le_u32(&header, 0);
+    if magic != MAGIC {
+        return Err(PcapError::BadMagic(magic));
     }
-
-    /// Read the next record; `Ok(None)` at clean end-of-file.
-    ///
-    /// Only an EOF landing exactly on a record boundary is a clean end.
-    /// A cut mid-way through the 16-byte record header (or the frame
-    /// body) is a ragged tail and surfaces as an error, so callers can
-    /// count it rather than silently dropping up to 15 bytes.
-    pub fn next_record(&mut self) -> Result<Option<PcapRecord>, PcapError> {
-        let mut rec_header = [0u8; 16];
-        let mut filled = 0usize;
-        while filled < rec_header.len() {
-            // tamperlint: allow(index) — filled < rec_header.len() by the loop condition
-            match self.input.read(&mut rec_header[filled..]) {
-                Ok(0) if filled == 0 => return Ok(None),
-                Ok(0) => {
-                    return Err(PcapError::Io(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        // tamperlint: allow(hot-path-alloc) — error-path message for a truncated capture; the read loop never reaches it on well-formed input
-                        format!("pcap ends {filled} bytes into a record header"),
-                    )));
-                }
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let ts_sec = le_u32(&rec_header, 0);
-        let ts_usec = le_u32(&rec_header, 4);
-        let incl_len = le_u32(&rec_header, 8);
-        if incl_len > SNAPLEN {
-            return Err(PcapError::OversizeRecord(incl_len));
-        }
-        // tamperlint: allow(hot-path-alloc) — the record's frame buffer transfers ownership to the shard and outlives this reader
-        let mut frame = vec![0u8; incl_len as usize];
-        self.input.read_exact(&mut frame)?;
-        Ok(Some(PcapRecord {
-            ts_sec,
-            ts_usec,
-            frame,
-        }))
+    let linktype = le_u32(&header, 20);
+    if linktype != LINKTYPE_RAW {
+        return Err(PcapError::BadLinkType(linktype));
     }
-
-    /// Read all remaining records.
-    pub fn read_all(&mut self) -> Result<Vec<PcapRecord>, PcapError> {
-        let mut records = Vec::new();
-        while let Some(r) = self.next_record()? {
-            records.push(r);
-        }
-        Ok(records)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::Bytes;
-    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
-    use tamper_wire::{PacketBuilder, TcpFlags};
-
-    fn v4_packet() -> Packet {
-        PacketBuilder::new(
-            IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
-            IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
-            1234,
-            80,
-        )
-        .flags(TcpFlags::PSH_ACK)
-        .payload(Bytes::from_static(b"GET / HTTP/1.1\r\n\r\n"))
-        .build()
-    }
-
-    #[test]
-    fn write_then_read_round_trips() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(100, 250_000, &v4_packet()).unwrap();
-        w.write_packet(101, 0, &v4_packet()).unwrap();
-        let bytes = w.into_inner();
-
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let records = r.read_all().unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].ts_sec, 100);
-        assert_eq!(records[0].ts_usec, 250_000);
-        // Frames re-parse into identical packets.
-        let parsed = Packet::parse(&records[0].frame).unwrap();
-        assert_eq!(parsed.tcp.flags, TcpFlags::PSH_ACK);
-        assert_eq!(&parsed.payload[..], b"GET / HTTP/1.1\r\n\r\n");
-    }
-
-    #[test]
-    fn header_fields_are_standard() {
-        let w = PcapWriter::new(Vec::new()).unwrap();
-        let bytes = w.into_inner();
-        assert_eq!(bytes.len(), 24);
-        assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
-        assert_eq!(&bytes[20..24], &101u32.to_le_bytes());
-    }
-
-    #[test]
-    fn rejects_bad_magic() {
-        let bogus = [0u8; 24];
-        match PcapReader::new(&bogus[..]) {
-            Err(PcapError::BadMagic(0)) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok(_) => panic!("bogus header accepted"),
-        }
-    }
-
-    #[test]
-    fn rejects_wrong_linktype() {
-        let mut bytes = PcapWriter::new(Vec::new()).unwrap().into_inner();
-        bytes[20..24].copy_from_slice(&1u32.to_le_bytes()); // Ethernet
-        match PcapReader::new(&bytes[..]) {
-            Err(PcapError::BadLinkType(1)) => {}
-            Err(other) => panic!("unexpected error {other:?}"),
-            Ok(_) => panic!("wrong linktype accepted"),
-        }
-    }
-
-    #[test]
-    fn ipv6_frames_round_trip() {
-        let pkt = PacketBuilder::new(
-            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)),
-            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2)),
-            5,
-            443,
-        )
-        .flags(TcpFlags::SYN)
-        .build();
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(7, 8, &pkt).unwrap();
-        let bytes = w.into_inner();
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let rec = r.next_record().unwrap().unwrap();
-        let parsed = Packet::parse(&rec.frame).unwrap();
-        assert!(!parsed.ip.is_v4());
-        assert!(r.next_record().unwrap().is_none());
-    }
-
-    #[test]
-    fn oversize_record_is_rejected_not_allocated() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(1, 2, &v4_packet()).unwrap();
-        let mut bytes = w.into_inner();
-        // Corrupt the first record's incl_len (global header is 24 bytes,
-        // incl_len sits 8 bytes into the record header) to claim 1 GiB.
-        bytes[32..36].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        match r.next_record() {
-            Err(PcapError::OversizeRecord(n)) => assert_eq!(n, 1 << 30),
-            other => panic!("expected oversize error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_record_is_io_error() {
-        let mut w = PcapWriter::new(Vec::new()).unwrap();
-        w.write_packet(1, 2, &v4_packet()).unwrap();
-        let mut bytes = w.into_inner();
-        bytes.truncate(bytes.len() - 3);
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        assert!(r.next_record().is_err());
-    }
+    Ok(())
 }
 
 /// Write every packet of a session trace (both directions, as received at
@@ -319,12 +140,170 @@ pub fn write_session_trace<W: Write>(
 }
 
 #[cfg(test)]
-mod trace_export_tests {
+mod tests {
     use super::*;
+    use crate::source::{FlowSource, PcapMemSource};
+    use bytes::Bytes;
+    use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
     use tamper_netsim::{
         derive_rng, run_session, ClientConfig, Path, ServerConfig, SessionParams, SimDuration,
         SimTime,
     };
+    use tamper_wire::{PacketBuilder, TcpFlags};
+
+    fn v4_packet() -> Packet {
+        PacketBuilder::new(
+            IpAddr::V4(Ipv4Addr::new(10, 0, 0, 1)),
+            IpAddr::V4(Ipv4Addr::new(10, 0, 0, 2)),
+            1234,
+            80,
+        )
+        .flags(TcpFlags::PSH_ACK)
+        .payload(Bytes::from_static(b"GET / HTTP/1.1\r\n\r\n"))
+        .build()
+    }
+
+    /// Frame a capture the way the engine's reader does: every record's
+    /// timestamp and frame bytes, and the source itself for its tail
+    /// state.
+    fn framed(bytes: &[u8]) -> (Vec<(u64, Vec<u8>)>, PcapMemSource) {
+        let bytes = Bytes::copy_from_slice(bytes);
+        let mut src = PcapMemSource::new(bytes.clone()).unwrap();
+        let mut items = Vec::new();
+        let mut chunk = Vec::new();
+        loop {
+            let more = src.fill(&mut chunk, 4);
+            items.append(&mut chunk);
+            if !more {
+                break;
+            }
+        }
+        let frames = items
+            .iter()
+            .map(|it| (it.ts, bytes[it.off..it.off + it.len as usize].to_vec()))
+            .collect();
+        (frames, src)
+    }
+
+    #[test]
+    fn write_then_read_round_trips() {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        w.write_packet(100, 250_000, &v4_packet()).unwrap();
+        w.write_packet(101, 0, &v4_packet()).unwrap();
+        let bytes = w.into_inner();
+        // The first record header's ts_usec field (Wireshark reads it).
+        assert_eq!(&bytes[28..32], &250_000u32.to_le_bytes());
+
+        let (records, src) = framed(&bytes);
+        assert!(!src.corrupt_tail());
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0].0, 100);
+        assert_eq!(records[1].0, 101);
+        // Frames re-parse into identical packets.
+        let parsed = Packet::parse(&records[0].1).unwrap();
+        assert_eq!(parsed.tcp.flags, TcpFlags::PSH_ACK);
+        assert_eq!(&parsed.payload[..], b"GET / HTTP/1.1\r\n\r\n");
+    }
+
+    #[test]
+    fn header_fields_are_standard() {
+        let w = PcapWriter::new(Vec::new()).unwrap();
+        let bytes = w.into_inner();
+        assert_eq!(bytes.len(), 24);
+        assert_eq!(&bytes[0..4], &0xa1b2_c3d4u32.to_le_bytes());
+        assert_eq!(&bytes[20..24], &101u32.to_le_bytes());
+    }
+
+    #[test]
+    fn rejects_bad_magic() {
+        let bogus = Bytes::from_static(&[0u8; 24]);
+        match PcapMemSource::new(bogus) {
+            Err(PcapError::BadMagic(0)) => {}
+            Err(other) => panic!("unexpected error {other:?}"),
+            Ok(_) => panic!("bogus header accepted"),
+        }
+    }
+
+    #[test]
+    fn rejects_wrong_linktype() {
+        let mut bytes = PcapWriter::new(Vec::new()).unwrap().into_inner();
+        bytes[20..24].copy_from_slice(&1u32.to_le_bytes()); // Ethernet
+        match PcapMemSource::new(Bytes::from(bytes)) {
+            Err(PcapError::BadLinkType(1)) => {}
+            Err(other) => panic!("unexpected error {other:?}"),
+            Ok(_) => panic!("wrong linktype accepted"),
+        }
+    }
+
+    #[test]
+    fn rejects_a_cut_global_header() {
+        let bytes = PcapWriter::new(Vec::new()).unwrap().into_inner();
+        match PcapMemSource::new(Bytes::copy_from_slice(&bytes[..23])) {
+            Err(PcapError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            Err(other) => panic!("unexpected error {other:?}"),
+            Ok(_) => panic!("cut header accepted"),
+        }
+    }
+
+    #[test]
+    fn ipv6_frames_round_trip() {
+        let pkt = PacketBuilder::new(
+            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 1)),
+            IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 2)),
+            5,
+            443,
+        )
+        .flags(TcpFlags::SYN)
+        .build();
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        w.write_packet(7, 8, &pkt).unwrap();
+        let (records, src) = framed(&w.into_inner());
+        assert_eq!(records.len(), 1);
+        assert!(!src.corrupt_tail());
+        let parsed = Packet::parse(&records[0].1).unwrap();
+        assert!(!parsed.ip.is_v4());
+    }
+
+    #[test]
+    fn oversize_record_is_rejected_not_allocated() {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        w.write_packet(1, 2, &v4_packet()).unwrap();
+        let mut bytes = w.into_inner();
+        // Corrupt the first record's incl_len (global header is 24 bytes,
+        // incl_len sits 8 bytes into the record header) to claim 1 GiB.
+        bytes[32..36].copy_from_slice(&(1u32 << 30).to_le_bytes());
+        let (records, src) = framed(&bytes);
+        assert!(records.is_empty());
+        assert!(src.corrupt_tail());
+        match src.tail_error() {
+            Some(PcapError::OversizeRecord(n)) => assert_eq!(n, 1 << 30),
+            other => panic!("expected oversize error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn truncated_record_is_a_corrupt_tail() {
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        w.write_packet(1, 2, &v4_packet()).unwrap();
+        w.write_packet(2, 0, &v4_packet()).unwrap();
+        let bytes = w.into_inner();
+        let rec_len = (bytes.len() - 24) / 2;
+        // Cut inside the second frame body, then inside its header.
+        for cut in [3, rec_len - 4] {
+            let (records, src) = framed(&bytes[..bytes.len() - cut]);
+            assert_eq!(records.len(), 1, "cut {cut}");
+            assert!(src.corrupt_tail(), "cut {cut}");
+            assert!(
+                matches!(src.tail_error(), Some(PcapError::Io(_))),
+                "cut {cut}"
+            );
+        }
+        // A cut on a record boundary is a clean end.
+        let (records, src) = framed(&bytes[..24 + rec_len]);
+        assert_eq!(records.len(), 1);
+        assert!(!src.corrupt_tail());
+        assert!(src.tail_error().is_none());
+    }
 
     #[test]
     fn session_trace_round_trips_through_pcap() {
@@ -342,15 +321,13 @@ mod trace_export_tests {
         let n = write_session_trace(&mut w, &trace).unwrap();
         assert_eq!(n as usize, trace.packets.len());
         assert!(n > 10, "both directions should be present");
-        let bytes = w.into_inner();
-        let mut r = PcapReader::new(&bytes[..]).unwrap();
-        let records = r.read_all().unwrap();
+        let (records, _) = framed(&w.into_inner());
         assert_eq!(records.len(), trace.packets.len());
         // Every frame re-parses, and both directions appear.
         let mut to_server = 0;
         let mut to_client = 0;
-        for rec in &records {
-            let pkt = Packet::parse(&rec.frame).unwrap();
+        for (_, frame) in &records {
+            let pkt = Packet::parse(frame).unwrap();
             if pkt.tcp.dst_port == 443 {
                 to_server += 1;
             } else {

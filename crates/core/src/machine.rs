@@ -1,11 +1,8 @@
 //! The sans-IO classification core: [`FlowMachine`].
 //!
-//! [`classify`](crate::classify::classify) is already a pure function of
-//! a finished [`FlowRecord`], but its stage logic lives in nested
-//! conditionals over scratch vectors, and its notion of "now" is a field
-//! smuggled inside the record (`observation_end_sec`). This module
-//! re-founds the same semantics as an explicit state machine in the
-//! happy-eyeballs sans-IO style:
+//! The paper's per-flow classification as an explicit state machine in
+//! the happy-eyeballs sans-IO style — time enters as an argument instead
+//! of a field smuggled inside the record (`observation_end_sec`):
 //!
 //! ```text
 //!             ┌───────────────────────────────────────────────┐
@@ -35,10 +32,9 @@
 //! - **Replay determinism.** Same input sequence in, same output out —
 //!   there is no hidden state across `Start` boundaries.
 //!
-//! The machine produces bit-identical [`FlowAnalysis`] values to the
-//! legacy [`Classifier`](crate::classify::Classifier); the differential
-//! battery replays the entire golden corpus plus proptest-generated
-//! adversarial interleavings through both.
+//! `tests/state_machine.rs` keeps the original nested-conditional
+//! classifier as a test-only reference and replays the golden corpus plus
+//! proptest-generated adversarial interleavings through both.
 
 use std::net::{IpAddr, Ipv4Addr};
 
@@ -86,8 +82,7 @@ impl Count {
 }
 
 /// The event alphabet: what one reordered packet means to the stage
-/// automaton. Classification priority matches the legacy feature pass:
-/// SYN wins over RST wins over FIN wins over payload wins over pure ACK.
+/// automaton. Classification priority: SYN wins over RST wins over FIN wins over payload wins over pure ACK.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Event {
     /// Any packet with SYN set (even SYN+RST: SYN has priority).
@@ -178,8 +173,8 @@ fn event_of_fields(
 /// The finite stage-evidence state: everything the paper's sequence-type
 /// assignment needs, folded packet by packet. `rst` doubles as the
 /// freeze bit — the stage counts stop at the first RST (the paper's
-/// stage boundary) while `syns` and `fin_any` keep counting, exactly as
-/// the legacy pass computes them over the whole flow.
+/// stage boundary) while `syns` and `fin_any` keep counting over the
+/// whole flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageState {
     /// SYN packets over the whole flow (never frozen).
@@ -249,8 +244,8 @@ pub const fn transition(s: StageState, ev: Event) -> StageState {
     }
 }
 
-/// The sequence type (stage) read off a terminal state — the flat-match
-/// twin of the legacy nested-conditional ladder.
+/// The sequence type (stage) read off a terminal state, as flat match
+/// rows over the paper's stage ladder.
 pub const fn stage_of(s: StageState) -> Option<Stage> {
     match (s.data, s.fin_before, s.acks, s.syns) {
         (Count::Many, _, _, _) => Some(Stage::PostData),
@@ -322,8 +317,7 @@ pub enum Output {
 }
 
 /// The sans-IO per-flow classifier. See the module docs for the
-/// invariants; see [`Classifier`](crate::classify::Classifier) for the
-/// legacy equivalent it is differentially tested against.
+/// invariants.
 pub struct FlowMachine {
     cfg: ClassifierConfig,
     client_ip: IpAddr,
@@ -627,34 +621,46 @@ mod tests {
     }
 
     #[test]
-    fn machine_matches_legacy_on_a_handful_of_shapes() {
+    fn machine_classifies_a_handful_of_shapes() {
         let cfg = ClassifierConfig::default();
-        let flows = [
-            flow(vec![rec(100, TcpFlags::SYN, 100, 0, 0)], 130, false),
-            flow(
-                vec![
-                    rec(100, TcpFlags::SYN, 100, 0, 0),
-                    rec(100, TcpFlags::RST_ACK, 101, 101, 0),
-                ],
-                130,
-                false,
+        let cases = [
+            (
+                flow(vec![rec(100, TcpFlags::SYN, 100, 0, 0)], 130, false),
+                Some(Signature::SynNone),
             ),
-            flow(
-                vec![
-                    rec(100, TcpFlags::SYN, 100, 0, 0),
-                    rec(100, TcpFlags::ACK, 101, 501, 0),
-                    rec(101, TcpFlags::PSH_ACK, 101, 501, 5),
-                    rec(101, TcpFlags::RST, 106, 0, 0),
-                    rec(101, TcpFlags::RST, 106, 700, 0),
-                ],
-                130,
-                false,
+            (
+                flow(
+                    vec![
+                        rec(100, TcpFlags::SYN, 100, 0, 0),
+                        rec(100, TcpFlags::RST_ACK, 101, 101, 0),
+                    ],
+                    130,
+                    false,
+                ),
+                Some(Signature::SynRstAck),
             ),
-            flow(Vec::new(), 130, false),
+            (
+                flow(
+                    vec![
+                        rec(100, TcpFlags::SYN, 100, 0, 0),
+                        rec(100, TcpFlags::ACK, 101, 501, 0),
+                        rec(101, TcpFlags::PSH_ACK, 101, 501, 5),
+                        rec(101, TcpFlags::RST, 106, 0, 0),
+                        rec(101, TcpFlags::RST, 106, 700, 0),
+                    ],
+                    130,
+                    false,
+                ),
+                Some(Signature::PshRstZero),
+            ),
+            (flow(Vec::new(), 130, false), None),
         ];
         let mut m = FlowMachine::new(cfg);
-        for f in &flows {
-            assert_eq!(m.analyze(f), classify(f, &cfg));
+        for (f, want) in &cases {
+            let got = m.analyze(f);
+            assert_eq!(got.signature(), *want);
+            // Replaying on a warm machine matches a fresh one.
+            assert_eq!(got, classify(f, &cfg));
         }
     }
 

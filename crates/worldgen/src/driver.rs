@@ -665,26 +665,16 @@ impl WorldSim {
     /// its own accumulator `T`; accumulators are merged in shard order,
     /// so results are byte-identical to a serial run — even for
     /// order-sensitive accumulators — at any thread count.
-    pub fn run_sharded<T, FI, FO, FM>(&self, threads: usize, init: FI, observe: FO, merge: FM) -> T
-    where
-        T: Send,
-        FI: Fn() -> T + Sync,
-        FO: Fn(&mut T, LabeledFlow) + Sync,
-        FM: FnMut(&mut T, T),
-    {
-        self.run_sharded_observed(threads, None, init, observe, merge)
-    }
-
-    /// [`WorldSim::run_sharded`] with an optional metrics registry
-    /// attached — a thin shim over [`tamper_capture::run_source_observed`]
-    /// with a [`SimSource`] front-end; the driver has no sharding or
-    /// merging machinery of its own. The engine publishes its uniform
-    /// `reader` / `shard<i>` / `merge` scopes (per-shard `gen` stage
-    /// timers, session/flow counters, a thread gauge on `merge`). With
-    /// `None` every instrument is disabled (no clock reads); metrics
-    /// never feed the merged accumulator, so attaching a registry cannot
-    /// perturb byte-compared output.
-    pub fn run_sharded_observed<T, FI, FO, FM>(
+    ///
+    /// A thin shim over [`tamper_capture::run_source_observed`] with a
+    /// [`SimSource`] front-end; the driver has no sharding or merging
+    /// machinery of its own. With a registry attached, the engine
+    /// publishes its uniform `reader` / `shard<i>` / `merge` scopes
+    /// (per-shard `gen` stage timers, session/flow counters, a thread
+    /// gauge on `merge`). With `None` every instrument is disabled (no
+    /// clock reads); metrics never feed the merged accumulator, so
+    /// attaching a registry cannot perturb byte-compared output.
+    pub fn run_sharded<T, FI, FO, FM>(
         &self,
         threads: usize,
         obs: Option<&Registry>,
@@ -727,7 +717,7 @@ impl WorldSim {
         (h % pops as u64) as usize
     }
 
-    /// [`WorldSim::run_sharded_observed`] restricted to the slice of
+    /// [`WorldSim::run_sharded`] restricted to the slice of
     /// traffic that lands on PoP `pop` of `pops`. The whole world is still
     /// generated (routing must see every client), but only flows whose
     /// [`WorldSim::pop_of`] matches reach `observe`. The union of the
@@ -749,7 +739,7 @@ impl WorldSim {
         FO: Fn(&mut T, LabeledFlow) + Sync,
         FM: FnMut(&mut T, T),
     {
-        self.run_sharded_observed(
+        self.run_sharded(
             threads,
             obs,
             init,
@@ -1034,6 +1024,7 @@ mod tests {
         s.run(|lf| serial.push((lf.meta.start_unix, lf.flow.packets.len())));
         let sharded: Vec<(u64, usize)> = s.run_sharded(
             4,
+            None,
             Vec::new,
             |acc, lf| acc.push((lf.meta.start_unix, lf.flow.packets.len())),
             |a, mut b| a.append(&mut b),

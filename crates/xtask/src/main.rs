@@ -598,13 +598,17 @@ fn merge_bench_smoke() -> Result<(), String> {
 /// below the committed number fails the gate — that is the margin between
 /// "host noise" and "someone put a per-packet allocation back in the hot
 /// path". On a shared box, though, external load alone can cost 20%; the
-/// bench's own legacy-path row is the control for that. The legacy code
-/// is untouched by hot-path work and runs in the same process seconds
-/// apart, so genuine regressions collapse the batched/legacy *ratio*
-/// while host load leaves it intact: an absolute drop is forgiven only
-/// when the ratio stayed within 20% of the committed ratio. Three
-/// attempts guard against one unlucky scheduling window; the bench
-/// writes to a scratch path so the committed artifact stays untouched.
+/// bench's own `control` row is the control for that. The control (a
+/// per-flow classify, label and aggregate over the same ingest) runs in
+/// the same process seconds apart, and each bench run records it together
+/// with that run's batched figure. A batch-classify regression collapses
+/// the batched/control *ratio* while host load leaves it intact: an
+/// absolute drop is forgiven only when the ratio stayed within 20% of the
+/// committed pair's ratio. The control shares the batched row's ingest
+/// (framing, view parsing, columnar table), so an ingest regression slows
+/// both and leaves the ratio intact; only the absolute floor catches it. Three attempts
+/// guard against one unlucky scheduling window; the bench writes to a
+/// scratch path so the committed artifact stays untouched.
 fn throughput_smoke() -> Result<(), String> {
     let root = repo_root();
     let committed = root.join("BENCH_classify_stream.json");
@@ -658,7 +662,7 @@ fn throughput_smoke() -> Result<(), String> {
             if r >= rf {
                 eprintln!(
                     "==> throughput smoke: {:.0} flows/s is under the floor, but the \
-                     legacy control slowed to match ({:.2}x vs committed {:.2}x) — \
+                     control slowed to match ({:.2}x vs committed {:.2}x) — \
                      host load, not a regression",
                     run.batched,
                     r,
@@ -675,23 +679,27 @@ fn throughput_smoke() -> Result<(), String> {
     }
     Err(format!(
         "throughput smoke: single-thread classify_stream stayed below 80% of the \
-         committed baseline across 3 runs without the legacy control slowing to \
+         committed baseline across 3 runs without the control slowing to \
          match (best {best:.0} flows/s, floor {floor:.0}, baseline {:.0})",
         base.batched
     ))
 }
 
-/// The two single-thread throughput numbers of a bench JSON document:
-/// the batched engine path and the legacy per-flow control.
+/// The single-thread throughput numbers of a bench JSON document: the
+/// batched engine path's `runs` row, and the `control` row with the
+/// batched figure measured in the same run.
 struct BenchNumbers {
     batched: f64,
-    legacy: Option<f64>,
+    /// `(control flows/s, batched flows/s)` from one bench run.
+    control: Option<(f64, f64)>,
 }
 
 impl BenchNumbers {
-    /// Batched-over-legacy speedup, when the control row is present.
+    /// Batched-over-control speedup of the paired run, when present.
     fn ratio(&self) -> Option<f64> {
-        self.legacy.filter(|&l| l > 0.0).map(|l| self.batched / l)
+        self.control
+            .filter(|&(c, _)| c > 0.0)
+            .map(|(c, batched)| batched / c)
     }
 }
 
@@ -710,12 +718,12 @@ fn bench_numbers(text: &str) -> Result<BenchNumbers, String> {
             })
         })
         .ok_or_else(|| "no single-thread run row".to_string())?;
-    let legacy = doc
-        .get("legacy")
-        .and_then(|l| l.get("flows_per_sec"))
-        .and_then(|v| v.as_u64())
-        .map(|v| v as f64);
-    Ok(BenchNumbers { batched, legacy })
+    let control = doc.get("control").and_then(|c| {
+        let fps = c.get("flows_per_sec")?.as_u64()? as f64;
+        let paired = c.get("batched_flows_per_sec")?.as_u64()? as f64;
+        Some((fps, paired))
+    });
+    Ok(BenchNumbers { batched, control })
 }
 
 /// Pinned proptest environment for the CI gate: an explicit case count

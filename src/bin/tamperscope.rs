@@ -327,7 +327,7 @@ fn cmd_report(args: &Args) -> ExitCode {
     // Stderr progress timing goes through the obs stopwatch — the one
     // sanctioned wall-clock entry point — and never enters report bytes.
     let run_sw = Stopwatch::start();
-    let col = sim.run_sharded_observed(
+    let col = sim.run_sharded(
         threads,
         registry.as_ref(),
         mk,
@@ -419,7 +419,7 @@ fn cmd_pop_run(args: &Args) -> ExitCode {
             })
             .collect::<Vec<_>>()
     };
-    let cols = sim.run_sharded_observed(
+    let cols = sim.run_sharded(
         threads,
         None,
         mk,
@@ -540,7 +540,7 @@ fn cmd_iran(args: &Args) -> ExitCode {
     // file, never in the fig8 bytes.
     let metrics_path = args.get("metrics-json");
     let registry = metrics_path.map(|_| Registry::new());
-    let col = sim.run_sharded_observed(
+    let col = sim.run_sharded(
         threads,
         registry.as_ref(),
         mk,

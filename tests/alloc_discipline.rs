@@ -21,7 +21,8 @@ use std::cell::Cell;
 
 use tamperscope::analysis::{flow_to_jsonl, flow_to_line};
 use tamperscope::capture::{
-    run_engine, ClosedFlow, EngineConfig, FlowBatch, FlowTuple, OfflineConfig,
+    run_source, EngineConfig, EvictionCause, FlowBatch, FlowRecord, FlowTuple, OfflineConfig,
+    PcapMemSource,
 };
 use tamperscope::core::{BatchClassifier, ClassifierConfig, FlowMachine};
 use tamperscope::worldgen::{WorldConfig, WorldSim};
@@ -73,8 +74,15 @@ fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
 }
 
+/// One closed flow of the golden corpus.
+struct Closed {
+    flow: FlowRecord,
+    first_index: u64,
+    cause: EvictionCause,
+}
+
 /// The golden corpus as closed flows, in first-seen order.
-fn golden_flows() -> Vec<ClosedFlow> {
+fn golden_flows() -> Vec<Closed> {
     let bytes = std::fs::read(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests")
@@ -87,14 +95,22 @@ fn golden_flows() -> Vec<ClosedFlow> {
         threads: 1,
         ..EngineConfig::default()
     };
-    let (mut flows, _stats) = run_engine(
-        bytes.as_slice(),
+    let src = PcapMemSource::new(bytes.into()).expect("golden corpus header");
+    let (mut flows, _stats) = run_source(
+        src,
         &cfg,
         Vec::new,
-        |sink: &mut Vec<ClosedFlow>, closed: ClosedFlow| sink.push(closed),
+        |sink: &mut Vec<Closed>, batch: FlowBatch| {
+            for (i, span) in batch.spans().iter().enumerate() {
+                sink.push(Closed {
+                    flow: batch.materialize(i),
+                    first_index: span.first_index,
+                    cause: span.cause,
+                });
+            }
+        },
         |a, mut b| a.append(&mut b),
-    )
-    .expect("golden corpus replays");
+    );
     flows.sort_by_key(|cf| cf.first_index);
     assert!(!flows.is_empty(), "golden corpus yielded no flows");
     flows
@@ -181,7 +197,7 @@ fn warm_machine_analyzes_the_golden_corpus_without_allocating() {
 
 /// Pack closed flows into one columnar [`FlowBatch`], the shape the
 /// batched engine hands to per-shard sinks.
-fn batch_of(flows: &[&ClosedFlow]) -> FlowBatch {
+fn batch_of(flows: &[&Closed]) -> FlowBatch {
     let mut batch = FlowBatch::new();
     for cf in flows {
         let start = batch.packet_count() as u32;
@@ -221,7 +237,7 @@ fn warm_batch_classifier_processes_a_batch_without_allocating() {
     let mut machine = FlowMachine::new(ClassifierConfig::default());
     // Domain-bearing flows legitimately allocate their verdict-owned
     // host string; the zero-alloc guarantee covers everything else.
-    let domain_free: Vec<&ClosedFlow> = flows
+    let domain_free: Vec<&Closed> = flows
         .iter()
         .filter(|cf| machine.analyze(&cf.flow).trigger.domain.is_none())
         .collect();

@@ -239,6 +239,32 @@ fn classify_writes_the_golden_bytes_in_both_output_modes() {
     }
 }
 
+/// `flows_closed` in `--metrics-json` counts closed flows, not the batches
+/// that carry them: the golden corpus holds 21 flows at any thread count.
+#[test]
+fn classify_metrics_count_every_closed_flow() {
+    let pcap = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden.pcap");
+    for threads in ["1", "2"] {
+        let metrics = tmp(&format!("flows_closed_{threads}.json"));
+        let out = bin()
+            .arg("classify")
+            .arg(&pcap)
+            .args(["--threads", threads, "--metrics-json"])
+            .arg(&metrics)
+            .output()
+            .expect("classify");
+        assert!(out.status.success());
+        let text = std::fs::read_to_string(&metrics).expect("metrics written");
+        let _ = std::fs::remove_file(&metrics);
+        let doc = tamperscope::worldgen::json::Json::parse(text.trim()).expect("metrics parse");
+        assert_eq!(
+            doc.get("flows_closed").and_then(|v| v.as_u64()),
+            Some(21),
+            "--threads {threads}"
+        );
+    }
+}
+
 #[test]
 fn classify_missing_file_fails_cleanly() {
     let out = bin()

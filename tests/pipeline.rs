@@ -6,7 +6,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 use tamper_analysis::Collector;
 use tamper_capture::{
-    collect, flows_from_records, CollectorConfig, OfflineConfig, PcapRecord, Sampler,
+    collect, flows_from_pcap, CollectorConfig, OfflineConfig, PcapWriter, Sampler,
 };
 use tamper_core::{classify, ClassifierConfig, Signature, Stage};
 use tamper_middlebox::{RuleSet, Vendor};
@@ -62,15 +62,14 @@ fn pcap_round_trip_classifies_identically() {
         let direct_class = classify(&direct, &ClassifierConfig::default()).classification;
 
         // Pcap round-trip.
-        let records: Vec<PcapRecord> = trace
-            .inbound()
-            .map(|tp| PcapRecord {
-                ts_sec: tp.time.as_secs() as u32,
-                ts_usec: ((tp.time.as_nanos() % 1_000_000_000) / 1000) as u32,
-                frame: tp.packet.emit().to_vec(),
-            })
-            .collect();
-        let (flows, stats) = flows_from_records(&records, &OfflineConfig::default());
+        let mut w = PcapWriter::new(Vec::new()).unwrap();
+        for tp in trace.inbound() {
+            let usec = ((tp.time.as_nanos() % 1_000_000_000) / 1000) as u32;
+            w.write_packet(tp.time.as_secs() as u32, usec, &tp.packet)
+                .unwrap();
+        }
+        let bytes = w.into_inner();
+        let (flows, stats) = flows_from_pcap(bytes.as_slice(), &OfflineConfig::default()).unwrap();
         assert_eq!(flows.len(), 1, "{vendor:?}");
         assert_eq!(stats.unparsable, 0);
         let offline_class = classify(&flows[0], &ClassifierConfig::default()).classification;
@@ -213,6 +212,7 @@ fn sampling_ablation_preserves_proportions() {
             .unwrap_or(4);
         sim.run_sharded(
             threads,
+            None,
             || {
                 Collector::new(
                     ClassifierConfig::default(),

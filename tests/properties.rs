@@ -376,6 +376,10 @@ proptest! {
 
 use tamper_core::FlowMachine;
 
+#[path = "support/reference_classifier.rs"]
+mod reference_classifier;
+use reference_classifier::Classifier;
+
 /// An ISN in the wraparound band: at most 64 below `u32::MAX`, so a
 /// handshake plus one data segment is guaranteed to cross zero.
 fn arb_wrap_isn() -> impl Strategy<Value = u32> {
@@ -488,8 +492,8 @@ proptest! {
         }
     }
 
-    /// The sans-IO machine agrees with the legacy classifier byte-for-byte
-    /// on wrap-band flows, under both configs, and retransmit dedup still
+    /// The sans-IO machine agrees with the test-only reference classifier
+    /// byte-for-byte on wrap-band flows, under both configs, and retransmit dedup still
     /// works modulo 2^32: duplicating a post-wrap data packet never changes
     /// the analysis.
     #[test]
@@ -498,7 +502,8 @@ proptest! {
             ClassifierConfig::default(),
             ClassifierConfig { split_rst_counts: false, ..ClassifierConfig::default() },
         ] {
-            let want = classify(&flow, &cfg);
+            let mut reference = Classifier::new(cfg);
+            let want = reference.classify(&flow);
             let mut machine = FlowMachine::new(cfg);
             prop_assert_eq!(machine.analyze(&flow), want.clone());
 
@@ -509,7 +514,7 @@ proptest! {
                 let mut dup = flow.clone();
                 let copy = dup.packets[pos].clone();
                 dup.packets.insert(pos + 1, copy);
-                let want_dup = classify(&dup, &cfg);
+                let want_dup = reference.classify(&dup);
                 prop_assert_eq!(want_dup.classification, want.classification);
                 prop_assert_eq!(want_dup.stage, want.stage);
                 prop_assert_eq!(machine.analyze(&dup), want_dup);
@@ -677,11 +682,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Malformed capture input: the streaming engine must degrade to counted
-// drops, never panic, on truncation, garbage frames, or bit corruption.
+// Malformed capture input: the shipped decoder (`PcapMemSource`) and the
+// streaming engine must degrade to counted drops, never panic, on
+// truncation, garbage frames, or bit corruption.
 // ---------------------------------------------------------------------------
 
-use tamper_capture::{run_engine, ClosedFlow, EngineConfig, OfflineConfig, PcapWriter};
+use tamper_capture::{
+    run_source, EngineConfig, EngineStats, OfflineConfig, PcapError, PcapMemSource, PcapWriter,
+};
 
 fn valid_frame(client_octet: u8, sport: u16, flags: TcpFlags, seq: u32) -> Vec<u8> {
     PacketBuilder::new(
@@ -708,21 +716,24 @@ fn small_capture(n: u8) -> Vec<u8> {
     w.into_inner()
 }
 
-fn run_collecting(
-    bytes: &[u8],
-) -> Result<(Vec<ClosedFlow>, tamper_capture::EngineStats), tamper_capture::PcapError> {
+/// Run a capture through the shipped decoder and engine at 2 threads:
+/// every closed flow's record, plus the run's counters.
+fn run_collecting(bytes: &[u8]) -> Result<(Vec<FlowRecord>, EngineStats), PcapError> {
     let cfg = EngineConfig {
         offline: OfflineConfig::default(),
         threads: 2,
         ..EngineConfig::default()
     };
-    run_engine(
-        bytes,
+    let src = PcapMemSource::new(Bytes::copy_from_slice(bytes))?;
+    Ok(run_source(
+        src,
         &cfg,
         Vec::new,
-        |acc: &mut Vec<ClosedFlow>, cf| acc.push(cf),
+        |acc: &mut Vec<FlowRecord>, batch: FlowBatch| {
+            acc.extend((0..batch.flow_count()).map(|i| batch.materialize(i)));
+        },
         |a, mut b| a.append(&mut b),
-    )
+    ))
 }
 
 proptest! {

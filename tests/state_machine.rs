@@ -3,13 +3,15 @@
 //! Three layers, per the testing strategy in DESIGN.md:
 //!
 //! 1. **Golden differential** — every flow of the golden corpus replays
-//!    through the legacy `Classifier` AND the new `FlowMachine`; the two
-//!    `FlowAnalysis` values (and their serialized verdict lines) must be
-//!    byte-identical, under both the paper config and the A4 ablation.
+//!    through the test-only reference `Classifier` (the original
+//!    nested-conditional feature pass, `tests/support/`) AND the
+//!    production `FlowMachine`; the two `FlowAnalysis` values (and their
+//!    serialized verdict lines) must be byte-identical, under both the
+//!    paper config and the A4 ablation.
 //! 2. **Property battery** — proptest-generated adversarial interleavings
 //!    (wraparound seq/ack near `u32::MAX`, overlapping/ambiguous
 //!    segments, arbitrary flag soup, truncations, timer storms) assert
-//!    the machines never panic, agree with the legacy path, and are
+//!    the machines never panic, agree with the reference, and are
 //!    replay-deterministic: the same input sequence produces the same
 //!    output sequence, twice. (No ambient clock can leak in: the
 //!    tamperlint `clock-containment` rule covers the new modules, see
@@ -29,8 +31,8 @@ use proptest::prelude::*;
 use tamperscope::analysis::flow_to_jsonl;
 use tamperscope::capture::{flows_from_pcap, FlowRecord, OfflineConfig, PacketRecord};
 use tamperscope::core::{
-    classify, reachable_graph, stage_of, transition, Classifier, ClassifierConfig, Count, Event,
-    FlowMachine, Input, Output, StageState,
+    reachable_graph, stage_of, transition, ClassifierConfig, Count, Event, FlowMachine, Input,
+    Output, StageState,
 };
 use tamperscope::netsim::client::ClientTimer;
 use tamperscope::netsim::server::ServerTimer;
@@ -39,6 +41,10 @@ use tamperscope::netsim::{
     ServerConfig, SimDuration, SimTime, VanishStage,
 };
 use tamperscope::wire::{PacketBuilder, TcpFlags};
+
+#[path = "support/reference_classifier.rs"]
+mod reference_classifier;
+use reference_classifier::Classifier;
 
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -71,14 +77,14 @@ fn every_golden_corpus_flow_is_byte_identical_across_both_classifiers() {
     assert_eq!(flows.len(), 21, "corpus shape changed");
 
     for cfg in CONFIGS {
-        let mut legacy = Classifier::new(cfg);
+        let mut reference = Classifier::new(cfg);
         let mut machine = FlowMachine::new(cfg);
         for flow in &flows {
-            let want = legacy.classify(flow);
+            let want = reference.classify(flow);
             let got = machine.analyze(flow);
             assert_eq!(
                 want, got,
-                "machine diverged from legacy classifier on {}:{}",
+                "machine diverged from the reference classifier on {}:{}",
                 flow.client_ip, flow.src_port
             );
             // Byte-level: the serialized verdict lines agree too.
@@ -258,18 +264,18 @@ fn server_input(op: u8) -> Scripted<ServerTimer> {
 
 proptest! {
     /// Differential + replay determinism: on arbitrary adversarial flows
-    /// the machine (a) never panics, (b) agrees with the legacy
+    /// the machine (a) never panics, (b) agrees with the reference
     /// classifier exactly, and (c) produces the same analysis when the
     /// same machine replays the same flow again — under both configs.
     #[test]
     fn machine_matches_legacy_and_replays_deterministically(flow in arb_machine_flow()) {
         for cfg in CONFIGS {
-            let want = classify(&flow, &cfg);
+            let want = Classifier::new(cfg).classify(&flow);
             let mut machine = FlowMachine::new(cfg);
             let first = machine.analyze(&flow);
             let second = machine.analyze(&flow);
             prop_assert_eq!(&first, &second, "replay diverged");
-            prop_assert_eq!(first, want, "machine diverged from legacy");
+            prop_assert_eq!(first, want, "machine diverged from the reference");
         }
     }
 
@@ -303,8 +309,8 @@ proptest! {
         );
         prop_assert!(matches!(out, Output::Analysis(_)));
         // A fresh Start fully resets per-flow state: the reused machine
-        // still agrees with the legacy classifier on the complete flow.
-        prop_assert_eq!(machine.analyze(&flow), classify(&flow, &cfg));
+        // still agrees with the reference classifier on the complete flow.
+        prop_assert_eq!(machine.analyze(&flow), Classifier::new(cfg).classify(&flow));
     }
 
     /// The netsim client machine is replay-deterministic across every
