@@ -12,13 +12,12 @@
 //! lives in [`crate::view::ReportView`].
 
 use std::collections::BTreeMap;
-use tamper_core::{
-    is_zmap_fingerprint, max_consecutive_ipid_delta, max_consecutive_ttl_delta, max_rst_ipid_delta,
-    max_rst_ttl_delta, min_consecutive_ipid_delta, scanner_marks, user_agent,
-};
-use tamper_core::{ClassifierConfig, FlowAnalysis, Signature, Stage};
+use tamper_capture::FlowTuple;
+use tamper_core::evidence::{is_zmap_fingerprint_view, scanner_marks_view};
+use tamper_core::trigger::user_agent_view;
+use tamper_core::{ClassifierConfig, FlowAnalysis, PacketsView, Signature, Stage};
 use tamper_netsim::splitmix64;
-use tamper_worldgen::LabeledFlow;
+use tamper_worldgen::{LabeledFlow, SessionMeta};
 
 /// Number of classification cells per country: 19 signatures, plus
 /// "possibly tampered, unmatched", plus "not tampered".
@@ -287,11 +286,19 @@ pub fn ip_key(ip: std::net::IpAddr) -> u64 {
 /// sequence number). Pure in the flow, so every PoP computes the same
 /// priority for the same flow regardless of arrival order — the property
 /// the mergeable reservoirs rest on.
-pub fn flow_priority(lf: &LabeledFlow) -> u64 {
-    let mut h = ip_key(lf.flow.client_ip);
-    h = splitmix64(h ^ (u64::from(lf.flow.src_port) << 16) ^ u64::from(lf.flow.dst_port));
-    h = splitmix64(h ^ lf.meta.start_unix);
-    let seq0 = lf.flow.packets.first().map_or(0, |p| p.seq);
+pub fn flow_priority<V: PacketsView + ?Sized>(
+    tuple: &FlowTuple,
+    start_unix: u64,
+    packets: &V,
+) -> u64 {
+    let mut h = ip_key(tuple.client_ip);
+    h = splitmix64(h ^ (u64::from(tuple.src_port) << 16) ^ u64::from(tuple.dst_port));
+    h = splitmix64(h ^ start_unix);
+    let seq0 = if packets.is_empty() {
+        0
+    } else {
+        packets.seq(0)
+    };
     splitmix64(h ^ u64::from(seq0))
 }
 
@@ -507,7 +514,21 @@ impl PartialAggregate {
 
     /// Record a flow that was already classified.
     pub fn record(&mut self, lf: &LabeledFlow, a: &FlowAnalysis) {
-        let c = lf.meta.country as usize;
+        self.record_view(&lf.meta, &lf.flow.tuple(), lf.flow.packets.as_slice(), a);
+    }
+
+    /// [`record`](Self::record) over a flow's labels, 4-tuple and packets
+    /// in any storage layout — the capture path records straight from a
+    /// batch's column slices. The IP-ID/TTL evidence comes from
+    /// `a.evidence`, computed in the classifier's own walk.
+    pub fn record_view<V: PacketsView + ?Sized>(
+        &mut self,
+        meta: &SessionMeta,
+        tuple: &FlowTuple,
+        packets: &V,
+        a: &FlowAnalysis,
+    ) {
+        let c = meta.country as usize;
         debug_assert!(c < self.n_countries);
         self.total += 1;
         let sig = a.signature();
@@ -535,7 +556,7 @@ impl PartialAggregate {
         }
 
         // AS view.
-        let as_key = (lf.meta.country, lf.meta.asn.0);
+        let as_key = (meta.country, meta.asn.0);
         // tamperlint: allow(unbounded-growth) — keyed by (country, ASN), both from finite worldgen tables
         let as_entry = self.as_counts.entry(as_key).or_insert((0, 0));
         as_entry.0 += 1;
@@ -544,7 +565,7 @@ impl PartialAggregate {
         }
 
         // Time series.
-        let h = ((lf.meta.start_unix.saturating_sub(self.start_unix)) / 3600)
+        let h = ((meta.start_unix.saturating_sub(self.start_unix)) / 3600)
             .min(self.hours as u64 - 1) as usize;
         self.hour_totals[h] += 1;
         let ch = &mut self.country_hour[c][h];
@@ -557,12 +578,12 @@ impl PartialAggregate {
         }
 
         // IP version and protocol views.
-        let v = usize::from(lf.meta.ipv6);
+        let v = usize::from(meta.ipv6);
         self.country_ipver[c][v].0 += 1;
         if matched_ackpsh {
             self.country_ipver[c][v].1 += 1;
         }
-        let p = usize::from(!lf.meta.http); // 0 = HTTP, 1 = TLS
+        let p = usize::from(!meta.http); // 0 = HTTP, 1 = TLS
         self.country_proto[c][p].0 += 1;
         if matched_psh {
             self.country_proto[c][p].1 += 1;
@@ -570,9 +591,9 @@ impl PartialAggregate {
 
         // Domain view (ground-truth domain labels mirror the paper's use
         // of the SNI/Host it observed or the CDN's own hostname records).
-        if let Some(d) = lf.meta.domain {
+        if let Some(d) = meta.domain {
             // tamperlint: allow(unbounded-growth) — keyed by (country, domain) from the fixed monitored-domain table
-            let cell = self.domain_cells.entry((lf.meta.country, d)).or_default();
+            let cell = self.domain_cells.entry((meta.country, d)).or_default();
             cell.seen += 1;
             if matched_psh {
                 cell.psh_tampered += 1;
@@ -588,20 +609,21 @@ impl PartialAggregate {
             None => None,
         };
         if let Some(ri) = res_idx {
-            let pri = flow_priority(lf);
+            let pri = flow_priority(tuple, meta.start_unix, packets);
+            let ev = &a.evidence;
             let delta = if ri == 19 {
-                max_consecutive_ipid_delta(&lf.flow)
+                ev.max_consecutive_ipid_delta
             } else {
-                max_rst_ipid_delta(&lf.flow)
+                ev.max_rst_ipid_delta
             };
             if let Some(d) = delta {
                 // tamperlint: allow(unbounded-growth) — fixed-length Vec of Reservoirs; Reservoir::insert keeps lowest-K
                 self.ipid_res[ri].insert(pri, d);
             }
             let delta = if ri == 19 {
-                max_consecutive_ttl_delta(&lf.flow)
+                ev.max_consecutive_ttl_delta
             } else {
-                max_rst_ttl_delta(&lf.flow)
+                ev.max_rst_ttl_delta
             };
             if let Some(d) = delta {
                 // tamperlint: allow(unbounded-growth) — fixed-length Vec of Reservoirs; Reservoir::insert keeps lowest-K
@@ -610,7 +632,7 @@ impl PartialAggregate {
         }
 
         // V3 baselines.
-        if let Some(min) = min_consecutive_ipid_delta(&lf.flow) {
+        if let Some(min) = a.evidence.min_consecutive_ipid_delta {
             self.ipid_flows += 1;
             if min <= 1 {
                 self.ipid_min_le1 += 1;
@@ -619,7 +641,7 @@ impl PartialAggregate {
                 self.ipid_min_gt100 += 1;
             }
         }
-        if let Some(max) = max_consecutive_ttl_delta(&lf.flow) {
+        if let Some(max) = a.evidence.max_consecutive_ttl_delta {
             self.ttl_flows += 1;
             if max.abs() <= 1 {
                 self.ttl_max_le1 += 1;
@@ -629,11 +651,11 @@ impl PartialAggregate {
         // V1 scanner evidence.
         if sig == Some(Signature::SynRst) {
             self.syn_rst_total += 1;
-            if is_zmap_fingerprint(&lf.flow) {
+            if is_zmap_fingerprint_view(packets) {
                 self.syn_rst_zmap += 1;
             }
         }
-        let marks = scanner_marks(&lf.flow);
+        let marks = scanner_marks_view(packets);
         if marks.no_tcp_options {
             self.no_opt_flows += 1;
         }
@@ -642,21 +664,18 @@ impl PartialAggregate {
         }
 
         // V2 SYN payloads.
-        let syn_payload = lf
-            .flow
-            .packets
-            .iter()
-            .any(|pk| pk.flags.has_syn() && pk.payload_len > 0);
-        if lf.flow.dst_port == 80 {
+        let syn_payload =
+            (0..packets.len()).any(|i| packets.flags(i).has_syn() && packets.has_payload(i));
+        if tuple.dst_port == 80 {
             self.port80_flows += 1;
             if syn_payload {
                 self.port80_syn_payload += 1;
-                if let Some(d) = lf.meta.domain {
+                if let Some(d) = meta.domain {
                     // tamperlint: allow(unbounded-growth) — keyed by domain id from the fixed monitored-domain table
                     *self.syn_payload_domains.entry(d).or_default() += 1;
                 }
             }
-        } else if lf.flow.dst_port == 443 {
+        } else if tuple.dst_port == 443 {
             self.port443_flows += 1;
             if syn_payload {
                 self.port443_syn_payload += 1;
@@ -665,17 +684,18 @@ impl PartialAggregate {
 
         if matches!(sig.map(|s| s.stage()), Some(Stage::PostData)) {
             self.postdata_matches += 1;
-            if user_agent(&lf.flow).is_some_and(|ua| ua == tamper_worldgen::FIREWALL_USER_AGENT) {
+            if user_agent_view(packets).is_some_and(|ua| ua == tamper_worldgen::FIREWALL_USER_AGENT)
+            {
                 self.postdata_fw_ua += 1;
             }
         }
 
-        if let tamper_worldgen::GroundTruth::Benign(kind) = lf.meta.truth {
+        if let tamper_worldgen::GroundTruth::Benign(kind) = meta.truth {
             self.benign_attribution[kind.index()][class_idx] += 1;
         }
 
         // Ground truth confusion.
-        match (lf.meta.truth.was_tampered(), a.is_possibly_tampered()) {
+        match (meta.truth.was_tampered(), a.is_possibly_tampered()) {
             (true, true) => {
                 self.truth.true_positive += 1;
                 if matched_any {
@@ -690,10 +710,10 @@ impl PartialAggregate {
         // Appendix B pairs: Post-PSH classes with a visible domain. Kept
         // as the first PAIR_SEQ_CAP observations in (time, tie) order —
         // canonical under any partition/merge shape.
-        if let (Some(code), Some(domain)) = (postpsh_class_code(sig), lf.meta.domain) {
+        if let (Some(code), Some(domain)) = (postpsh_class_code(sig), meta.domain) {
             let in_scope = code != 0 || a.trigger.domain.is_some();
             if in_scope {
-                let key = (ip_key(lf.flow.client_ip), domain);
+                let key = (ip_key(tuple.client_ip), domain);
                 // Keep-lowest-K keys: at cap, a key above the current
                 // maximum is rejected (and, once rejected, can never
                 // rejoin — see PAIR_KEY_CAP).
@@ -705,8 +725,8 @@ impl PartialAggregate {
                         .is_some_and(|(top, _)| key < *top);
                 if within {
                     self.pair_seqs.entry(key).or_default().insert(
-                        lf.meta.start_unix,
-                        flow_priority(lf),
+                        meta.start_unix,
+                        flow_priority(tuple, meta.start_unix, packets),
                         code,
                     );
                     if self.pair_seqs.len() > PAIR_KEY_CAP {

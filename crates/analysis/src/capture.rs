@@ -16,26 +16,35 @@
 use crate::fmt::pct_f;
 use crate::jsonl::JsonObject;
 use crate::Collector;
-use tamper_capture::{EngineStats, FlowRecord};
-use tamper_core::Signature;
+use tamper_capture::{EngineStats, FlowRecord, FlowTuple};
+use tamper_core::{PacketsView, Signature};
 use tamper_worldgen::{Asn, GroundTruth, LabeledFlow, SessionMeta};
 
 /// Wrap a capture flow in neutral session metadata so the [`Collector`]
-/// can aggregate it: one synthetic country/AS, protocol inferred from the
-/// destination port, start time from the first retained packet, ground
-/// truth `Clean` (a real capture has none).
+/// can aggregate it (see [`capture_meta`]).
 pub fn label_capture_flow(flow: FlowRecord) -> LabeledFlow {
-    let start_unix = flow.packets.first().map(|p| p.ts_sec).unwrap_or(0);
-    let meta = SessionMeta {
+    let meta = capture_meta(&flow.tuple(), flow.packets.as_slice());
+    LabeledFlow { flow, meta }
+}
+
+/// The neutral session metadata a capture flow is aggregated under: one
+/// synthetic country/AS, protocol inferred from the destination port,
+/// start time from the first retained packet, ground truth `Clean` (a
+/// real capture has none).
+pub fn capture_meta<V: PacketsView + ?Sized>(tuple: &FlowTuple, packets: &V) -> SessionMeta {
+    SessionMeta {
         country: 0,
         asn: Asn(0),
-        ipv6: flow.client_ip.is_ipv6(),
-        http: flow.dst_port == 80,
+        ipv6: tuple.client_ip.is_ipv6(),
+        http: tuple.dst_port == 80,
         domain: None,
-        start_unix,
+        start_unix: if packets.is_empty() {
+            0
+        } else {
+            packets.ts_sec(0)
+        },
         truth: GroundTruth::Clean,
-    };
-    LabeledFlow { flow, meta }
+    }
 }
 
 /// A collector sized for capture aggregation (one synthetic country, one

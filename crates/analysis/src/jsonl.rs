@@ -4,18 +4,19 @@
 //!
 //! One line per flow, stable field order, suitable for `jq`, BigQuery
 //! loads, or the paper's own aggregation pipelines. Every line is written
-//! straight into one pre-sized `String`: keys, escaped strings and
-//! numbers are appended in place, so rendering a flow costs the line's
-//! own allocation and nothing per field.
+//! straight into one `String`: keys, escaped strings and numbers are
+//! appended in place. [`write_jsonl`] and [`write_line`] append to a
+//! caller's buffer, so a shard rendering thousands of flows into one warm
+//! buffer makes no heap request per line; [`flow_to_jsonl`] and
+//! [`flow_to_line`] render one [`FlowRecord`] into a pre-sized line of
+//! its own.
 
 use std::fmt::{self, Display, Write as _};
 use std::net::IpAddr;
 
 use crate::fmt::pct_f;
-use tamper_capture::FlowRecord;
-use tamper_core::{
-    max_rst_ipid_delta, max_rst_ttl_delta, AppProtocol, Classification, FlowAnalysis,
-};
+use tamper_capture::{FlowRecord, FlowTuple};
+use tamper_core::{AppProtocol, Classification, FlowAnalysis};
 
 /// True for the bytes RFC 8259 requires escaped inside a string. Every
 /// byte of a multi-byte UTF-8 sequence is ≥ 0x80, so a byte scan finds
@@ -76,6 +77,8 @@ impl fmt::Write for Escaped<'_> {
 #[derive(Debug)]
 pub struct JsonObject {
     buf: String,
+    /// Offset of this object's `{` in `buf`.
+    open: usize,
 }
 
 impl Default for JsonObject {
@@ -93,14 +96,20 @@ impl JsonObject {
     /// Start an empty object whose buffer holds `capacity` bytes before
     /// it has to grow — size it to the finished line.
     pub(crate) fn with_capacity(capacity: usize) -> JsonObject {
-        let mut buf = String::with_capacity(capacity);
+        JsonObject::append_to(String::with_capacity(capacity))
+    }
+
+    /// Start an object at the end of `buf`; [`finish`](Self::finish)
+    /// hands the whole buffer back.
+    fn append_to(mut buf: String) -> JsonObject {
+        let open = buf.len();
         buf.push('{');
-        JsonObject { buf }
+        JsonObject { buf, open }
     }
 
     /// Write the separator and `"key":`.
     fn key(&mut self, key: &str) {
-        if self.buf.len() > 1 {
+        if self.buf.len() > self.open + 1 {
             self.buf.push(',');
         }
         self.buf.push('"');
@@ -206,6 +215,28 @@ const JSONL_RESERVE: usize = 336;
 
 /// Serialize one classified flow as a JSON line.
 pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
+    let mut line = String::new();
+    write_jsonl(
+        &mut line,
+        &flow.tuple(),
+        flow.packets.len(),
+        flow.truncated,
+        analysis,
+    );
+    line
+}
+
+/// Append one classified flow's JSON line (no newline) to `out`: its
+/// 4-tuple, the number of packets logged, whether the record was
+/// truncated, and its analysis. The one body behind [`flow_to_jsonl`];
+/// the capture path calls it with a batch's tuple and span.
+pub fn write_jsonl(
+    out: &mut String,
+    tuple: &FlowTuple,
+    packets: usize,
+    truncated: bool,
+    analysis: &FlowAnalysis,
+) {
     let (verdict, signature) = match analysis.classification {
         Classification::Tampered(sig) => ("tampered", Some(sig.label())),
         Classification::PossiblyTamperedOther => ("possibly_tampered", None),
@@ -217,17 +248,20 @@ pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
         AppProtocol::Other => "other",
     };
     let domain = analysis.trigger.domain.as_deref();
-    let capacity = JSONL_RESERVE
-        + ip_width(&flow.client_ip)
-        + ip_width(&flow.server_ip)
-        + domain.map_or(0, str::len);
-    let mut obj = JsonObject::with_capacity(capacity)
-        .display("client_ip", &flow.client_ip)
-        .display("server_ip", &flow.server_ip)
-        .uint("src_port", u64::from(flow.src_port))
-        .uint("dst_port", u64::from(flow.dst_port))
-        .uint("packets", flow.packets.len() as u64)
-        .bool("truncated", flow.truncated)
+    out.reserve(
+        JSONL_RESERVE
+            + ip_width(&tuple.client_ip)
+            + ip_width(&tuple.server_ip)
+            + domain.map_or(0, str::len),
+    );
+    let evidence = &analysis.evidence;
+    let mut obj = JsonObject::append_to(std::mem::take(out))
+        .display("client_ip", &tuple.client_ip)
+        .display("server_ip", &tuple.server_ip)
+        .uint("src_port", u64::from(tuple.src_port))
+        .uint("dst_port", u64::from(tuple.dst_port))
+        .uint("packets", packets as u64)
+        .bool("truncated", truncated)
         .str("verdict", verdict)
         .opt_str("signature", signature)
         .opt_str("stage", analysis.stage.map(|s| s.label()))
@@ -235,15 +269,15 @@ pub fn flow_to_jsonl(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
         .opt_str("trigger_domain", domain)
         .uint("rst_count", analysis.rst_count as u64)
         .uint("rst_ack_count", analysis.rst_ack_count as u64);
-    obj = match max_rst_ipid_delta(flow) {
+    obj = match evidence.max_rst_ipid_delta {
         Some(d) => obj.uint("max_rst_ipid_delta", u64::from(d)),
         None => obj.null("max_rst_ipid_delta"),
     };
-    obj = match max_rst_ttl_delta(flow) {
+    obj = match evidence.max_rst_ttl_delta {
         Some(d) => obj.int("max_rst_ttl_delta", i64::from(d)),
         None => obj.null("max_rst_ttl_delta"),
     };
-    obj.finish()
+    *out = obj.finish();
 }
 
 /// Width, in chars, the verdict column of [`flow_to_line`] is padded to.
@@ -257,34 +291,39 @@ const LINE_RESERVE: usize = 88;
 /// Serialize one classified flow as the default `classify` verdict line:
 /// `client:port -> :port  [n pkts]  <verdict, padded to 40 chars> <domain>`.
 pub fn flow_to_line(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
+    let mut line = String::new();
+    write_line(&mut line, &flow.tuple(), flow.packets.len(), analysis);
+    line
+}
+
+/// Append one classified flow's verdict line (no newline) to `out`, from
+/// its 4-tuple, the number of packets logged and its analysis. The one
+/// body behind [`flow_to_line`].
+pub fn write_line(out: &mut String, tuple: &FlowTuple, packets: usize, analysis: &FlowAnalysis) {
     let domain = analysis.trigger.domain.as_deref().unwrap_or("-");
-    let mut line = String::with_capacity(LINE_RESERVE + ip_width(&flow.client_ip) + domain.len());
+    out.reserve(LINE_RESERVE + ip_width(&tuple.client_ip) + domain.len());
     let _ = write!(
-        line,
+        out,
         "{}:{} -> :{}  [{} pkts]  ",
-        flow.client_ip,
-        flow.src_port,
-        flow.dst_port,
-        flow.packets.len()
+        tuple.client_ip, tuple.src_port, tuple.dst_port, packets
     );
-    let verdict_start = line.len();
+    let verdict_start = out.len();
     match analysis.signature() {
         Some(sig) => {
-            line.push_str("TAMPERED  ");
-            line.push_str(sig.label());
+            out.push_str("TAMPERED  ");
+            out.push_str(sig.label());
         }
-        None if analysis.is_possibly_tampered() => line.push_str("possibly tampered"),
-        None => line.push_str("clean"),
+        None if analysis.is_possibly_tampered() => out.push_str("possibly tampered"),
+        None => out.push_str("clean"),
     }
     // Pad by chars, as `{:<40}` does: the signature glyphs are one char
     // but three bytes.
-    let width = line[verdict_start..].chars().count();
+    let width = out[verdict_start..].chars().count();
     for _ in width..VERDICT_WIDTH {
-        line.push(' ');
+        out.push(' ');
     }
-    line.push(' ');
-    line.push_str(domain);
-    line
+    out.push(' ');
+    out.push_str(domain);
 }
 
 /// A compact JSON summary of a collector run (headline statistics).
@@ -308,7 +347,7 @@ mod tests {
     use bytes::Bytes;
     use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
     use tamper_capture::PacketRecord;
-    use tamper_core::{classify, ClassifierConfig, Signature, Stage, TriggerInfo};
+    use tamper_core::{classify, ClassifierConfig, FlowEvidence, Signature, Stage, TriggerInfo};
     use tamper_wire::TcpFlags;
 
     #[test]
@@ -384,6 +423,22 @@ mod tests {
         assert!(!line.contains('\n'));
     }
 
+    #[test]
+    fn lines_append_to_a_shared_buffer() {
+        let flow = wide_flow(2);
+        let a = classify(&flow, &ClassifierConfig::default());
+        let mut buf = String::from("prefix\n");
+        write_jsonl(&mut buf, &flow.tuple(), 2, false, &a);
+        buf.push('\n');
+        write_line(&mut buf, &flow.tuple(), 2, &a);
+        let want = format!(
+            "prefix\n{}\n{}",
+            flow_to_jsonl(&flow, &a),
+            flow_to_line(&flow, &a)
+        );
+        assert_eq!(buf, want);
+    }
+
     /// A flow with `n` packets alternating SYN and RST from the widest
     /// IPv6 addresses.
     fn wide_flow(n: usize) -> FlowRecord {
@@ -437,6 +492,12 @@ mod tests {
                     domain: None,
                     protocol: AppProtocol::Other,
                 },
+                // The widest deltas the wide flow's packets produce.
+                evidence: FlowEvidence {
+                    max_rst_ipid_delta: Some(65_535),
+                    max_rst_ttl_delta: Some(-255),
+                    ..FlowEvidence::default()
+                },
             };
             let line = flow_to_jsonl(&flow, &a);
             assert!(
@@ -466,6 +527,7 @@ mod tests {
                     domain: Some("example.com".to_owned()),
                     protocol: AppProtocol::Tls,
                 },
+                evidence: FlowEvidence::default(),
             };
             let verdict = format!("TAMPERED  {sig}");
             let want = format!(

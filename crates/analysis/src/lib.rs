@@ -33,12 +33,14 @@ pub use agg::{
 };
 pub use aggfile::{decode as decode_agg, encode as encode_agg, merge_checked, AggError};
 pub use capture::{
-    capture_collector, capture_summary_to_json, engine_perf_to_json, label_capture_flow,
+    capture_collector, capture_meta, capture_summary_to_json, engine_perf_to_json,
+    label_capture_flow,
 };
 pub use collector::Collector;
 pub use fmt::{pct, pct_f, Table};
 pub use jsonl::{
-    escape_into, escape_json, flow_to_jsonl, flow_to_line, summary_to_json, JsonObject,
+    escape_into, escape_json, flow_to_jsonl, flow_to_line, summary_to_json, write_jsonl,
+    write_line, JsonObject,
 };
 pub use metrics::{metrics_to_json, write_metrics_json};
 pub use paper::{comparison_table, comparisons, Comparison};

@@ -1,11 +1,13 @@
 //! Benchmarks + artifact emission for Figures 2 and 3 (IP-ID / TTL
 //! injection-evidence CDFs) and the §4.2 validation numbers, plus
-//! micro-benchmarks of the evidence extractors themselves.
+//! micro-benchmarks of the evidence extractors themselves. The IP-ID/TTL
+//! deltas come out of the classifier's own walk, so their bench times a
+//! warm `FlowMachine` reading `analysis.evidence`.
 
 use criterion::{criterion_group, Criterion};
 use tamper_analysis::report;
 use tamper_bench::{emit, pregenerate, run_pipeline, standard_world, EMIT_SESSIONS};
-use tamper_core::{max_rst_ipid_delta, max_rst_ttl_delta, scanner_marks};
+use tamper_core::{scanner_marks, ClassifierConfig, FlowMachine};
 
 fn emit_artifacts() {
     let sim = standard_world(EMIT_SESSIONS);
@@ -19,19 +21,13 @@ fn emit_artifacts() {
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("figures_evidence");
     let flows = pregenerate(2_000);
-    g.bench_function("ipid_delta_extraction", |b| {
+    let mut machine = FlowMachine::new(ClassifierConfig::default());
+    g.bench_function("rst_delta_evidence", |b| {
         b.iter(|| {
             flows
                 .iter()
-                .filter_map(|lf| max_rst_ipid_delta(&lf.flow))
-                .count()
-        })
-    });
-    g.bench_function("ttl_delta_extraction", |b| {
-        b.iter(|| {
-            flows
-                .iter()
-                .filter_map(|lf| max_rst_ttl_delta(&lf.flow))
+                .map(|lf| machine.analyze(&lf.flow).evidence)
+                .filter(|ev| ev.max_rst_ipid_delta.is_some() || ev.max_rst_ttl_delta.is_some())
                 .count()
         })
     });

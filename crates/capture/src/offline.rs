@@ -148,6 +148,10 @@ struct Slot {
     first_index: u64,
     last_ts: u64,
     truncated: bool,
+    /// The flow's latest wheel entry expired before the clock it was
+    /// queued at (a packet stamped more than the timeout behind the
+    /// capture clock). Tracked only under a live-flow cap.
+    overdue: bool,
     rows: Vec<PacketRow>,
     payload: Vec<u8>,
 }
@@ -169,6 +173,7 @@ impl Slot {
         self.first_index = first_index;
         self.last_ts = ts;
         self.truncated = false;
+        self.overdue = false;
         self.rows.clear();
         self.payload.clear();
     }
@@ -206,6 +211,15 @@ pub struct ColumnarFlowTable {
     wheel: Vec<Vec<(FlowKey, u64)>>,
     /// Next expiry second the wheel has not yet drained.
     wheel_pos: u64,
+    /// Live flows marked [`Slot::overdue`]. While it is 0, every live
+    /// flow expires at `wheel_pos` or later, so the wheel lists flows in
+    /// activity order from `wheel_pos` on — which is what lets a cap shed
+    /// its victim without scanning every live flow.
+    overdue: usize,
+    /// The bucket the last shed sorted, by descending `(last_ts,
+    /// first_index)`, so that further sheds from it pop its least entry
+    /// off the end. Cleared when a new entry is queued into it.
+    shed_sorted: Option<usize>,
     /// The key and slot the previous packet landed in. Packets of one
     /// flow arrive in runs, so this skips the map probe for the common
     /// case. Cleared whenever any flow closes, which keeps the invariant
@@ -230,6 +244,8 @@ impl ColumnarFlowTable {
             expired_scratch: Vec::new(),
             wheel: vec![Vec::new(); buckets],
             wheel_pos: 0,
+            overdue: 0,
+            shed_sorted: None,
             last_hit: None,
         }
     }
@@ -301,10 +317,16 @@ impl ColumnarFlowTable {
         let prev_last = self.slots[slot_idx as usize].last_ts;
         let new_last = prev_last.max(ts);
         if born || ts > prev_last {
-            let b = (new_last.saturating_add(self.cfg.flow_timeout_secs) % self.wheel.len() as u64)
-                as usize;
+            let expiry = new_last.saturating_add(self.cfg.flow_timeout_secs);
+            let b = (expiry % self.wheel.len() as u64) as usize;
             // tamperlint: allow(index) — bucket index is reduced modulo the wheel length
             self.wheel[b].push((key, new_last));
+            if self.max_live > 0 {
+                self.mark_overdue(slot_idx, expiry < self.wheel_pos);
+                if self.shed_sorted == Some(b) {
+                    self.shed_sorted = None;
+                }
+            }
         }
         // tamperlint: allow(index) — the flow map only holds indices of live pool slots
         let slot = &mut self.slots[slot_idx as usize];
@@ -392,23 +414,100 @@ impl ColumnarFlowTable {
         self.expired_scratch = expired;
     }
 
+    /// Record whether a flow's newest wheel entry was already overdue
+    /// when queued, keeping the table's count of such flows.
+    fn mark_overdue(&mut self, slot_idx: u32, overdue: bool) {
+        let Some(slot) = self.slots.get_mut(slot_idx as usize) else {
+            return;
+        };
+        if slot.overdue != overdue {
+            slot.overdue = overdue;
+            if overdue {
+                self.overdue += 1;
+            } else {
+                self.overdue -= 1;
+            }
+        }
+    }
+
     /// Shed the least-recently-active flow (ties broken by first-seen).
     fn shed_lru(&mut self, out: &mut FlowBatch) {
-        let victim = self
-            .flows
-            .iter()
-            .min_by_key(|(_, &slot_idx)| {
-                // tamperlint: allow(index) — the flow map only holds indices of live pool slots
-                let slot = &self.slots[slot_idx as usize];
-                (slot.last_ts, slot.first_index)
-            })
-            .map(|(k, _)| *k);
-        if let Some(key) = victim {
+        if let Some(key) = self.lru_victim() {
             self.last_hit = None;
             if let Some(slot_idx) = self.flows.remove(&key) {
                 self.close_into(slot_idx, EvictionCause::CapPressure, out);
             }
         }
+    }
+
+    /// The live flow with the least `(last activity, first-seen index)`,
+    /// found on the timer wheel instead of by scanning every live flow.
+    ///
+    /// Each live flow has one current entry, in the bucket of its expiry
+    /// second. Walking buckets from `wheel_pos` visits expiry seconds in
+    /// order; a flow that is not overdue expires no earlier than the
+    /// second whose bucket holds it. So once the best flow seen expires at
+    /// or before the bucket just visited, no later bucket can beat it,
+    /// and the walk stops there. With overdue flows live (their entries
+    /// sit in buckets the wheel reaches only on a later lap) the walk
+    /// covers the whole lap. Entries found stale on the way are dropped,
+    /// as the sweep would drop them.
+    ///
+    /// A cap sheds many flows of one expiry second in a row, so the
+    /// bucket the walk stops in is sorted once, descending; until a new
+    /// entry is queued into it, later sheds take its least live entry off
+    /// the end instead of scanning it again.
+    fn lru_victim(&mut self) -> Option<FlowKey> {
+        let timeout = self.cfg.flow_timeout_secs;
+        let wheel_len = self.wheel.len() as u64;
+        let (flows, slots) = (&self.flows, &self.slots);
+        // A live entry's `(last_ts, first_index)`; `None` once stale.
+        let rank = |&(key, entry_last): &(FlowKey, u64)| {
+            flows
+                .get(&key)
+                .and_then(|&i| slots.get(i as usize))
+                .filter(|slot| slot.last_ts == entry_last)
+                .map(|slot| (slot.last_ts, slot.first_index))
+        };
+        let mut best: Option<(u64, u64, FlowKey)> = None;
+        for s in self.wheel_pos..self.wheel_pos.saturating_add(wheel_len) {
+            let b = (s % wheel_len) as usize;
+            let Some(entries) = self.wheel.get_mut(b) else {
+                break;
+            };
+            let mut offer = |(last, first): (u64, u64), key: FlowKey| {
+                if best.is_none_or(|(l, f, _)| (last, first) < (l, f)) {
+                    best = Some((last, first, key));
+                }
+            };
+            if self.shed_sorted == Some(b) {
+                while let Some(entry) = entries.last() {
+                    if let Some(r) = rank(entry) {
+                        offer(r, entry.0);
+                        break;
+                    }
+                    entries.pop(); // stale
+                }
+            } else {
+                entries.retain(|entry| match rank(entry) {
+                    Some(r) => {
+                        offer(r, entry.0);
+                        true
+                    }
+                    None => false, // closed, or superseded by a newer entry
+                });
+            }
+            if self.overdue == 0
+                && best.is_some_and(|(last, _, _)| last.saturating_add(timeout) <= s)
+            {
+                if self.shed_sorted != Some(b) {
+                    entries.sort_by_cached_key(|entry| std::cmp::Reverse(rank(entry)));
+                    self.shed_sorted = Some(b);
+                }
+                break;
+            }
+        }
+        best.map(|(_, _, key)| key)
     }
 
     /// Close all remaining flows at end of capture, ordered by first-seen
@@ -436,6 +535,9 @@ impl ColumnarFlowTable {
     fn close_into(&mut self, slot_idx: u32, cause: EvictionCause, out: &mut FlowBatch) {
         // tamperlint: allow(index) — callers pass indices removed from the flow map, all live pool slots
         let slot = &self.slots[slot_idx as usize];
+        if slot.overdue {
+            self.overdue -= 1;
+        }
         let last = slot.rows.iter().map(|r| r.ts_sec).max().unwrap_or(0);
         // Mirror an online collector that watched the flow for the timeout
         // window after its last retained packet.
@@ -515,6 +617,7 @@ pub struct IngestStats {
 mod tests {
     use super::*;
     use crate::pcap::PcapWriter;
+    use proptest::prelude::*;
     use std::net::Ipv4Addr;
     use tamper_wire::{PacketBuilder, TcpFlags};
 
@@ -640,6 +743,74 @@ mod tests {
         assert!(!evicted_sets[0].is_empty(), "cap never fired");
         assert_eq!(evicted_sets[0], evicted_sets[1]);
         assert_eq!(evicted_sets[0], evicted_sets[2]);
+    }
+
+    impl ColumnarFlowTable {
+        /// The victim search as it was before the timer wheel took it
+        /// over: a scan of every live flow. The reference the wheel walk
+        /// must agree with.
+        fn lru_victim_by_scan(&self) -> Option<FlowKey> {
+            self.flows
+                .iter()
+                .min_by_key(|(_, &slot_idx)| {
+                    let slot = &self.slots[slot_idx as usize];
+                    (slot.last_ts, slot.first_index)
+                })
+                .map(|(k, _)| *k)
+        }
+    }
+
+    /// One step of a random absorb schedule: which of a few clients, and
+    /// how the packet's timestamp moves against the previous one — ties,
+    /// small steps, jumps past the timeout, and steps back in time.
+    fn arb_step() -> impl Strategy<Value = (u8, i64)> {
+        (
+            0u8..12,
+            prop_oneof![
+                Just(0i64),
+                Just(0i64),
+                0i64..3,
+                20i64..80,
+                -60i64..0,
+                4000i64..9000,
+            ],
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The wheel walk picks the same victim as a full scan in every
+        /// state a capped table passes through (caps above the 12 clients
+        /// never shed, so their tables fill up), whatever the timeout:
+        /// short ones whose jumps skip whole laps, the default, and one
+        /// wider than the 4096-bucket wheel so expiries alias.
+        #[test]
+        fn wheel_shedding_matches_the_full_scan(
+            steps in proptest::collection::vec(arb_step(), 1..160),
+            max_live in 1usize..14,
+            timeout in prop_oneof![Just(2u64), Just(5u64), Just(30u64), Just(5000u64)],
+        ) {
+            let cfg = OfflineConfig {
+                flow_timeout_secs: timeout,
+                ..OfflineConfig::default()
+            };
+            let mut table = ColumnarFlowTable::new(cfg, max_live);
+            let mut stats = IngestStats::default();
+            let mut batch = FlowBatch::new();
+            let (mut ts, mut stamp) = (100u64, 100u64);
+            for (index, &(who, step)) in steps.iter().enumerate() {
+                ts = ts.saturating_add_signed(step);
+                stamp = stamp.max(ts);
+                let bytes = frame(client(who), 4000, TcpFlags::ACK, index as u32, b"");
+                let pv = PacketView::parse(&bytes).unwrap();
+                table.absorb(index as u64, ts, stamp, &pv, &mut stats, &mut batch);
+                if max_live > 0 {
+                    prop_assert!(table.live() <= max_live);
+                }
+                prop_assert_eq!(table.lru_victim(), table.lru_victim_by_scan());
+            }
+        }
     }
 
     #[test]

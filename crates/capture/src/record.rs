@@ -81,6 +81,16 @@ pub struct FlowRecord {
 }
 
 impl FlowRecord {
+    /// The flow's 4-tuple.
+    pub fn tuple(&self) -> FlowTuple {
+        FlowTuple {
+            client_ip: self.client_ip,
+            server_ip: self.server_ip,
+            src_port: self.src_port,
+            dst_port: self.dst_port,
+        }
+    }
+
     /// True for IPv4 flows.
     pub fn is_ipv4(&self) -> bool {
         self.client_ip.is_ipv4()

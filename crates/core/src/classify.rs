@@ -20,6 +20,7 @@
 //! [`classify_view`](crate::machine::classify_view), which the
 //! [`FlowMachine`], the batch classifier and [`classify`] all run.
 
+use crate::evidence::FlowEvidence;
 use crate::machine::FlowMachine;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger::TriggerInfo;
@@ -58,6 +59,8 @@ pub struct FlowAnalysis {
     pub rst_ack_count: usize,
     /// Trigger domain / protocol extracted from payloads.
     pub trigger: TriggerInfo,
+    /// IP-ID / TTL discontinuities, from the same reconstructed order.
+    pub evidence: FlowEvidence,
 }
 
 impl FlowAnalysis {

@@ -6,7 +6,8 @@
 //! between consecutive packets of a flow); a middlebox forging a RST uses
 //! its own stack, so the forged packet's IP-ID and TTL usually jump.
 
-use crate::reorder::reconstruct_order_view_into;
+use crate::classify::ClassifierConfig;
+use crate::machine::FlowMachine;
 use crate::view::PacketsView;
 use tamper_capture::FlowRecord;
 
@@ -22,125 +23,124 @@ fn ipid_delta(a: u16, b: u16) -> u32 {
     (i32::from(a) - i32::from(b)).unsigned_abs()
 }
 
-/// Maximum absolute IP-ID change between each RST-flagged packet and the
-/// nearest preceding non-RST packet. `None` if the flow has no RSTs, no
-/// IPv4 IP-IDs, or no preceding packet.
-pub fn max_rst_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    max_rst_ipid_delta_view(flow.packets.as_slice())
+/// The signed change of larger magnitude; the earlier one wins a tie.
+fn wider(max: Option<i16>, d: i16) -> Option<i16> {
+    Some(match max {
+        Some(m) if m.abs() >= d.abs() => m,
+        _ => d,
+    })
 }
 
-/// [`max_rst_ipid_delta`] over any packet storage layout.
-pub fn max_rst_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
-    let mut last_non_rst: Option<u16> = None;
-    let mut max: Option<u32> = None;
-    for &i in &order {
-        if v.flags(i).has_rst() {
-            if let (Some(prev), Some(cur)) = (last_non_rst, v.ip_id(i)) {
+/// The IP-ID and TTL discontinuities of one flow, taken over its packets
+/// in reconstructed order. [`classify_view`](crate::machine::classify_view)
+/// computes them in the same walk that classifies the flow and returns
+/// them as [`FlowAnalysis::evidence`](crate::classify::FlowAnalysis).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlowEvidence {
+    /// Maximum absolute IP-ID change between each RST-flagged packet and
+    /// the nearest preceding non-RST packet with an IP-ID. `None` if the
+    /// flow has no RSTs, no IPv4 IP-IDs, or no preceding packet.
+    pub max_rst_ipid_delta: Option<u32>,
+    /// Signed TTL change of largest magnitude between each RST packet and
+    /// the nearest preceding non-RST packet (Figure 3 plots signed
+    /// changes in −255..255).
+    pub max_rst_ttl_delta: Option<i16>,
+    /// Minimum absolute IP-ID change between consecutive IPv4 packets —
+    /// the paper's sanity check that ≥93% of connections have a minimum
+    /// delta of 0 or 1. IPv6 packets in between are skipped.
+    pub min_consecutive_ipid_delta: Option<u32>,
+    /// Maximum absolute IP-ID change between consecutive IPv4 packets —
+    /// the baseline ("Not Tampering") statistic.
+    pub max_consecutive_ipid_delta: Option<u32>,
+    /// Signed TTL change of largest magnitude between consecutive
+    /// packets — baseline statistic.
+    pub max_consecutive_ttl_delta: Option<i16>,
+}
+
+impl FlowEvidence {
+    /// The evidence of a whole [`FlowRecord`], for callers that hold no
+    /// [`FlowAnalysis`](crate::classify::FlowAnalysis): the flow is
+    /// replayed through a fresh [`FlowMachine`]. Hot paths read
+    /// `analysis.evidence` instead.
+    pub fn of(flow: &FlowRecord) -> FlowEvidence {
+        FlowMachine::new(ClassifierConfig::default())
+            .analyze(flow)
+            .evidence
+    }
+}
+
+/// The running state behind [`FlowEvidence`]: fed one packet at a time in
+/// reconstructed order by the classification walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EvidenceWalk {
+    ev: FlowEvidence,
+    /// IP-ID of the latest non-RST packet that carried one.
+    last_non_rst_ipid: Option<u16>,
+    /// TTL of the latest non-RST packet.
+    last_non_rst_ttl: Option<u8>,
+    /// IP-ID of the latest packet that carried one.
+    prev_ipid: Option<u16>,
+    /// TTL of the previous packet.
+    prev_ttl: Option<u8>,
+}
+
+impl EvidenceWalk {
+    /// A walk that has seen no packet.
+    pub(crate) const fn new() -> EvidenceWalk {
+        EvidenceWalk {
+            ev: FlowEvidence {
+                max_rst_ipid_delta: None,
+                max_rst_ttl_delta: None,
+                min_consecutive_ipid_delta: None,
+                max_consecutive_ipid_delta: None,
+                max_consecutive_ttl_delta: None,
+            },
+            last_non_rst_ipid: None,
+            last_non_rst_ttl: None,
+            prev_ipid: None,
+            prev_ttl: None,
+        }
+    }
+
+    /// Fold the next packet in reconstructed order.
+    pub(crate) fn step(&mut self, rst: bool, ip_id: Option<u16>, ttl: u8) {
+        let ev = &mut self.ev;
+        if rst {
+            if let (Some(prev), Some(cur)) = (self.last_non_rst_ipid, ip_id) {
                 let d = ipid_delta(cur, prev);
-                max = Some(max.map_or(d, |m: u32| m.max(d)));
+                ev.max_rst_ipid_delta = Some(ev.max_rst_ipid_delta.map_or(d, |m| m.max(d)));
             }
-        } else if let Some(id) = v.ip_id(i) {
-            last_non_rst = Some(id);
-        }
-    }
-    max
-}
-
-/// Maximum absolute IP-ID change between consecutive packets — the
-/// baseline ("Not Tampering") statistic.
-pub fn max_consecutive_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    max_consecutive_ipid_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_consecutive_ipid_delta`] over any packet storage layout.
-pub fn max_consecutive_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
-    consecutive_ipid_deltas(v).1
-}
-
-/// Minimum absolute IP-ID change between consecutive packets — used for
-/// the paper's sanity check that ≥93% of connections have a minimum delta
-/// of 0 or 1.
-pub fn min_consecutive_ipid_delta(flow: &FlowRecord) -> Option<u32> {
-    min_consecutive_ipid_delta_view(flow.packets.as_slice())
-}
-
-/// [`min_consecutive_ipid_delta`] over any packet storage layout.
-pub fn min_consecutive_ipid_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<u32> {
-    consecutive_ipid_deltas(v).0
-}
-
-/// (min, max) absolute IP-ID delta over consecutive IPv4 packets in
-/// reconstructed order (IPv6 packets in between are skipped, matching the
-/// filtered-window semantics of the per-record path).
-fn consecutive_ipid_deltas<V: PacketsView + ?Sized>(v: &V) -> (Option<u32>, Option<u32>) {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
-    let mut prev: Option<u16> = None;
-    let mut min: Option<u32> = None;
-    let mut max: Option<u32> = None;
-    for &i in &order {
-        if let Some(id) = v.ip_id(i) {
-            if let Some(p) = prev {
-                let d = ipid_delta(id, p);
-                min = Some(min.map_or(d, |m: u32| m.min(d)));
-                max = Some(max.map_or(d, |m: u32| m.max(d)));
-            }
-            prev = Some(id);
-        }
-    }
-    (min, max)
-}
-
-/// Signed TTL change between each RST packet and the nearest preceding
-/// non-RST packet; returns the change with the largest magnitude
-/// (Figure 3 plots signed changes in −255..255).
-pub fn max_rst_ttl_delta(flow: &FlowRecord) -> Option<i16> {
-    max_rst_ttl_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_rst_ttl_delta`] over any packet storage layout.
-pub fn max_rst_ttl_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<i16> {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
-    let mut last_non_rst: Option<u8> = None;
-    let mut max: Option<i16> = None;
-    for &i in &order {
-        if v.flags(i).has_rst() {
-            if let Some(prev) = last_non_rst {
-                let d = i16::from(v.ttl(i)) - i16::from(prev);
-                max = Some(match max {
-                    Some(m) if m.abs() >= d.abs() => m,
-                    _ => d,
-                });
+            if let Some(prev) = self.last_non_rst_ttl {
+                ev.max_rst_ttl_delta =
+                    wider(ev.max_rst_ttl_delta, i16::from(ttl) - i16::from(prev));
             }
         } else {
-            last_non_rst = Some(v.ttl(i));
+            if ip_id.is_some() {
+                self.last_non_rst_ipid = ip_id;
+            }
+            self.last_non_rst_ttl = Some(ttl);
         }
+        if let Some(id) = ip_id {
+            if let Some(p) = self.prev_ipid {
+                let d = ipid_delta(id, p);
+                ev.min_consecutive_ipid_delta =
+                    Some(ev.min_consecutive_ipid_delta.map_or(d, |m| m.min(d)));
+                ev.max_consecutive_ipid_delta =
+                    Some(ev.max_consecutive_ipid_delta.map_or(d, |m| m.max(d)));
+            }
+            self.prev_ipid = Some(id);
+        }
+        if let Some(p) = self.prev_ttl {
+            ev.max_consecutive_ttl_delta =
+                wider(ev.max_consecutive_ttl_delta, i16::from(ttl) - i16::from(p));
+        }
+        self.prev_ttl = Some(ttl);
     }
-    max
-}
 
-/// Signed TTL change of largest magnitude between consecutive packets —
-/// baseline statistic.
-pub fn max_consecutive_ttl_delta(flow: &FlowRecord) -> Option<i16> {
-    max_consecutive_ttl_delta_view(flow.packets.as_slice())
-}
-
-/// [`max_consecutive_ttl_delta`] over any packet storage layout.
-pub fn max_consecutive_ttl_delta_view<V: PacketsView + ?Sized>(v: &V) -> Option<i16> {
-    let mut order = Vec::new();
-    reconstruct_order_view_into(v, &mut order);
-    let mut max: Option<i16> = None;
-    for w in order.windows(2) {
-        let d = i16::from(v.ttl(w[1])) - i16::from(v.ttl(w[0]));
-        max = Some(match max {
-            Some(m) if m.abs() >= d.abs() => m,
-            _ => d,
-        });
+    /// The evidence of every packet folded so far.
+    pub(crate) fn finish(&self) -> FlowEvidence {
+        self.ev
     }
-    max
 }
 
 /// The three scanner properties of Hiesgen et al. evaluated in §4.2.
@@ -251,8 +251,9 @@ mod tests {
             rec(0, TcpFlags::ACK, 101, Some(1001), 52, true),
             rec(0, TcpFlags::RST, 101, Some(48000), 101, false),
         ]);
-        assert_eq!(max_rst_ipid_delta(&f), Some(46999));
-        assert_eq!(max_rst_ttl_delta(&f), Some(49));
+        let ev = FlowEvidence::of(&f);
+        assert_eq!(ev.max_rst_ipid_delta, Some(46999));
+        assert_eq!(ev.max_rst_ttl_delta, Some(49));
     }
 
     #[test]
@@ -262,8 +263,9 @@ mod tests {
             rec(0, TcpFlags::ACK, 101, Some(8), 52, true),
             rec(0, TcpFlags::RST, 101, Some(9), 52, true),
         ]);
-        assert_eq!(max_rst_ipid_delta(&f), Some(1));
-        assert_eq!(max_rst_ttl_delta(&f), Some(0));
+        let ev = FlowEvidence::of(&f);
+        assert_eq!(ev.max_rst_ipid_delta, Some(1));
+        assert_eq!(ev.max_rst_ttl_delta, Some(0));
     }
 
     #[test]
@@ -273,17 +275,19 @@ mod tests {
             rec(0, TcpFlags::ACK, 101, Some(11), 52, true),
             rec(1, TcpFlags::ACK, 101, Some(13), 52, true),
         ]);
-        assert_eq!(max_consecutive_ipid_delta(&f), Some(2));
-        assert_eq!(min_consecutive_ipid_delta(&f), Some(1));
-        assert_eq!(max_consecutive_ttl_delta(&f), Some(0));
+        let ev = FlowEvidence::of(&f);
+        assert_eq!(ev.max_consecutive_ipid_delta, Some(2));
+        assert_eq!(ev.min_consecutive_ipid_delta, Some(1));
+        assert_eq!(ev.max_consecutive_ttl_delta, Some(0));
     }
 
     #[test]
     fn no_rst_no_rst_delta() {
         let f = flow(vec![rec(0, TcpFlags::SYN, 100, Some(10), 52, true)]);
-        assert_eq!(max_rst_ipid_delta(&f), None);
-        assert_eq!(max_rst_ttl_delta(&f), None);
-        assert_eq!(max_consecutive_ipid_delta(&f), None);
+        let ev = FlowEvidence::of(&f);
+        assert_eq!(ev.max_rst_ipid_delta, None);
+        assert_eq!(ev.max_rst_ttl_delta, None);
+        assert_eq!(ev.max_consecutive_ipid_delta, None);
     }
 
     #[test]
@@ -292,9 +296,10 @@ mod tests {
             rec(0, TcpFlags::SYN, 100, None, 52, true),
             rec(0, TcpFlags::RST, 101, None, 101, true),
         ]);
-        assert_eq!(max_rst_ipid_delta(&f), None);
+        let ev = FlowEvidence::of(&f);
+        assert_eq!(ev.max_rst_ipid_delta, None);
         // TTL evidence still works on IPv6 (hop limit).
-        assert_eq!(max_rst_ttl_delta(&f), Some(49));
+        assert_eq!(ev.max_rst_ttl_delta, Some(49));
     }
 
     #[test]
@@ -303,7 +308,7 @@ mod tests {
             rec(0, TcpFlags::SYN, 100, Some(1), 120, true),
             rec(0, TcpFlags::RST, 101, Some(2), 40, true),
         ]);
-        assert_eq!(max_rst_ttl_delta(&f), Some(-80));
+        assert_eq!(FlowEvidence::of(&f).max_rst_ttl_delta, Some(-80));
     }
 
     #[test]

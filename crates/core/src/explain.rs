@@ -2,9 +2,8 @@
 //! of the reconstructed flow and why it matched (or didn't match) a
 //! signature — the operator-facing counterpart of the paper's Table 1.
 
-use crate::classify::FlowAnalysis;
-use crate::evidence::{max_rst_ipid_delta, max_rst_ttl_delta};
-use crate::reorder::reordered;
+use crate::classify::{ClassifierConfig, FlowAnalysis};
+use crate::machine::FlowMachine;
 use crate::signature::Classification;
 use tamper_capture::FlowRecord;
 use tamper_wire::tls;
@@ -17,7 +16,11 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
         flow.client_ip, flow.src_port, flow.server_ip, flow.dst_port
     ));
 
-    let ordered = reordered(&flow.packets);
+    // The narrative follows the order the classifier walked: replay the
+    // flow through a machine and read the order back.
+    let mut machine = FlowMachine::new(ClassifierConfig::default());
+    machine.analyze(flow);
+    let ordered: Vec<_> = machine.order().iter().map(|&i| &flow.packets[i]).collect();
     let t0 = ordered.first().map(|p| p.ts_sec).unwrap_or(0);
     for (i, p) in ordered.iter().enumerate() {
         let mut notes: Vec<String> = Vec::new();
@@ -96,7 +99,7 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
 
     // Evidence.
     if analysis.classification.signature().is_some() {
-        match max_rst_ipid_delta(flow) {
+        match analysis.evidence.max_rst_ipid_delta {
             Some(d) if d > 1 => out.push_str(&format!(
                 "evidence: IP-ID jumps by {d} at the reset — a different stack forged it\n"
             )),
@@ -105,7 +108,7 @@ pub fn explain(flow: &FlowRecord, analysis: &FlowAnalysis) -> String {
             ),
             None => {}
         }
-        match max_rst_ttl_delta(flow) {
+        match analysis.evidence.max_rst_ttl_delta {
             Some(d) if d.abs() > 1 => out.push_str(&format!(
                 "evidence: TTL shifts by {d} at the reset — different path or initial TTL\n"
             )),

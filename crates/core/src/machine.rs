@@ -39,6 +39,7 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use crate::classify::{merge_rst_counts, rst_signature, ClassifierConfig, FlowAnalysis};
+use crate::evidence::EvidenceWalk;
 use crate::reorder::reconstruct_order_view_into;
 use crate::signature::{Classification, Signature, Stage};
 use crate::trigger;
@@ -418,6 +419,13 @@ impl FlowMachine {
         }
     }
 
+    /// The reconstructed packet order of the last flow this machine
+    /// finished, as indices into that flow's packets in arrival order —
+    /// the order its verdict and evidence were read in.
+    pub fn order(&self) -> &[usize] {
+        &self.order
+    }
+
     /// Terminal step: reconstruct order, fold the event stream through
     /// the transition table, and read the verdict off the final state.
     fn finish(&mut self, truncated: bool, now: SimTime) -> FlowAnalysis {
@@ -440,7 +448,10 @@ impl FlowMachine {
 /// with its arrival-order `Vec<PacketRecord>` buffer, and
 /// [`BatchClassifier`](crate::batch::BatchClassifier) with the column
 /// slices of each finished flow in a batch — so the two produce
-/// bit-identical [`FlowAnalysis`] values by construction. The caller
+/// bit-identical [`FlowAnalysis`] values by construction. The one walk
+/// over the reconstructed order also folds the IP-ID/TTL
+/// [`FlowEvidence`](crate::evidence::FlowEvidence), so no caller sorts
+/// the packets again. The caller
 /// owns the three scratch buffers (reconstructed order, RST multiset,
 /// data-seq dedup); once they are warm no packet count inside the
 /// corpus' high-water marks allocates.
@@ -463,18 +474,22 @@ pub fn classify_view<V: PacketsView + ?Sized>(
     let mut state = StageState::START;
     let mut max_gap = 0u64;
     let mut prev_ts = None;
+    let mut evidence = EvidenceWalk::new();
     for &pi in order.iter() {
         let ts = v.ts_sec(pi);
         if let Some(prev) = prev_ts {
             max_gap = max_gap.max(ts.saturating_sub(prev));
         }
         prev_ts = Some(ts);
+        let flags = v.flags(pi);
+        evidence.step(flags.has_rst(), v.ip_id(pi), v.ttl(pi));
         let ev = event_of_view(v, pi, seen_data_seqs);
         if ev == Event::Rst {
-            rsts.push((v.flags(pi).is_pure_rst(), v.ack(pi)));
+            rsts.push((flags.is_pure_rst(), v.ack(pi)));
         }
         state = transition(state, ev);
     }
+    let evidence = evidence.finish();
 
     let tail_gap = if truncated {
         // The record stopped because the packet cap hit, not because
@@ -501,6 +516,7 @@ pub fn classify_view<V: PacketsView + ?Sized>(
             rst_count,
             rst_ack_count,
             trigger,
+            evidence,
         };
     }
 
@@ -541,6 +557,7 @@ pub fn classify_view<V: PacketsView + ?Sized>(
         rst_count,
         rst_ack_count,
         trigger,
+        evidence,
     }
 }
 

@@ -85,15 +85,17 @@ fn from_first_payload(dst_port: u16, first_data: Option<&[u8]>) -> TriggerInfo {
 /// paper observes that Post-Data matches frequently carry user agents
 /// identifying commercial firewalls.
 pub fn user_agent(flow: &FlowRecord) -> Option<String> {
-    flow.packets
-        .iter()
-        .filter(|p| p.has_payload())
-        .find_map(|p| {
-            http::parse_request(&p.payload)
-                // tamperlint: allow(discarded-wire-error) — best-effort User-Agent sniff: a malformed request simply yields none
-                .ok()
-                .and_then(|r| r.user_agent)
-        })
+    user_agent_view(flow.packets.as_slice())
+}
+
+/// [`user_agent`] over any packet storage layout.
+pub fn user_agent_view<V: PacketsView + ?Sized>(v: &V) -> Option<String> {
+    (0..v.len()).filter(|&i| v.has_payload(i)).find_map(|i| {
+        http::parse_request(v.payload(i))
+            // tamperlint: allow(discarded-wire-error) — best-effort User-Agent sniff: a malformed request simply yields none
+            .ok()
+            .and_then(|r| r.user_agent)
+    })
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! failure gets a second chance to surface, a smoke run of
 //! `classify --metrics-json` on the golden fixture pcap, a cross-thread
 //! byte-identity smoke of `report` (`--threads 1` vs `--threads 2`), the
-//! benchmark's seed-1 output and digest checks on `world_report` and
-//! `classify_dense` (one short `perfbench/run.py` run each), the
+//! benchmark's seed-1 output and digest checks on `world_report`,
+//! `classify_dense` and `classify_sampled` (one short `perfbench/run.py`
+//! run each), the
 //! proptest suites re-run with `PROPTEST_CASES`/`PROPTEST_SEED` pinned,
 //! the zero-allocation discipline test and the linter's own fixture
 //! suite, and the tamperlint static-analysis gate in `--deny-new` mode
@@ -441,14 +442,16 @@ fn report_determinism_smoke() -> Result<(), String> {
 
 /// Benchmark output checks: one short untraced `perfbench/run.py` run
 /// per workload whose timed path is the simulator (`world_report`) or
-/// whose input is simulated (`classify_dense`). At seed 1 the benchmark
-/// compares its input and report digests with the ones it records, so
-/// any drift in the simulator's bytes fails here rather than in a
-/// benchmark run. The last stdout line must report `"correct": true`
-/// and `"failed": 0`.
+/// whose input is simulated (`classify_dense`, `classify_sampled`). At
+/// seed 1 the benchmark compares its input and report digests with the
+/// ones it records, so any drift in the simulator's bytes fails here
+/// rather than in a benchmark run; on the classify workloads it also
+/// compares the binary's stdout, in both output formats (`--jsonl` on
+/// `classify_sampled`), with its library composition of the same calls.
+/// The last stdout line must report `"correct": true` and `"failed": 0`.
 fn bench_digest_checks() -> Result<(), String> {
     let root = repo_root();
-    for workload in ["world_report", "classify_dense"] {
+    for workload in ["world_report", "classify_dense", "classify_sampled"] {
         let args = [
             "perfbench/run.py",
             "--workload",

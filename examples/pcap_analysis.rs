@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use tamperscope::capture::{flows_from_pcap, OfflineConfig, PcapWriter};
-use tamperscope::core::{classify, max_rst_ipid_delta, ClassifierConfig};
+use tamperscope::core::{classify, ClassifierConfig};
 use tamperscope::middlebox::{RuleSet, Vendor};
 use tamperscope::netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, SessionParams, SimDuration, SimTime,
@@ -119,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         *by_class.entry(key).or_default() += 1;
         if analysis.signature().is_some() {
             tampered += 1;
-            if max_rst_ipid_delta(flow).is_some_and(|d| d > 1) {
+            if analysis.evidence.max_rst_ipid_delta.is_some_and(|d| d > 1) {
                 evidence_hits += 1;
             }
         }

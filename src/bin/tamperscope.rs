@@ -18,16 +18,16 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use tamperscope::analysis::{
-    capture_collector, capture_summary_to_json, config_fingerprint, decode_agg, encode_agg,
-    engine_perf_to_json, flow_to_jsonl, flow_to_line, label_capture_flow, merge_checked, pct,
-    report, summary_to_json, write_metrics_json, AggError, Collector, PartialAggregate,
+    capture_collector, capture_meta, capture_summary_to_json, config_fingerprint, decode_agg,
+    encode_agg, engine_perf_to_json, merge_checked, pct, report, summary_to_json, write_jsonl,
+    write_line, write_metrics_json, AggError, Collector, PartialAggregate,
 };
 use tamperscope::capture::{
     run_source_observed, EngineConfig, FlowBatch, OfflineConfig, PcapMemSource, PcapWriter,
     SimSource,
 };
 use tamperscope::cli::Args;
-use tamperscope::core::{BatchClassifier, ClassifierConfig};
+use tamperscope::core::{explain, BatchClassifier, ClassifierConfig};
 use tamperscope::middlebox::{RuleSet, Vendor, ALL_VENDORS};
 use tamperscope::netsim::{
     derive_rng, run_session, ClientConfig, Link, Path, ServerConfig, SessionParams, SimDuration,
@@ -153,14 +153,65 @@ enum ClassifyMode {
     Explain,
 }
 
-/// Per-shard classify state: a scratch-reusing columnar batch
-/// classifier, a collector slice, and the output lines tagged with each
-/// flow's global first-record index so the merged output sorts into a
+/// One shard's rendered output: every line, newline included, back to
+/// back in fixed-size text chunks, indexed by its flow's global
+/// first-record index so the merged output sorts into a
 /// thread-count-independent order.
+///
+/// Chunks are allocated once at [`LINE_CHUNK`] bytes and never grow (a
+/// line starts a new chunk when less than [`LINE_SLACK`] is left), which
+/// keeps them under the allocator's mmap threshold: they fill memory the
+/// run has already freed instead of adding a region the size of the whole
+/// output, the way a single doubling buffer does.
+#[derive(Default)]
+struct Lines {
+    chunks: Vec<String>,
+    /// `(first_index, chunk, start, end)` per line, in render order.
+    index: Vec<(u64, u32, u32, u32)>,
+}
+
+/// Bytes per text chunk of [`Lines`].
+const LINE_CHUNK: usize = 64 << 10;
+
+/// Room a chunk must have left for the next line to start in it. A line
+/// longer than that (an `--explain` narrative) grows its chunk instead.
+const LINE_SLACK: usize = 2 << 10;
+
+impl Lines {
+    /// Render one line through `render`, append its newline, and index it
+    /// under the flow's first-record index.
+    fn push(&mut self, first_index: u64, render: impl FnOnce(&mut String)) {
+        if self
+            .chunks
+            .last()
+            .is_none_or(|c| c.capacity() - c.len() < LINE_SLACK)
+        {
+            self.chunks.push(String::with_capacity(LINE_CHUNK));
+        }
+        let chunk = self.chunks.len() - 1;
+        let text = &mut self.chunks[chunk];
+        let start = text.len();
+        render(text);
+        text.push('\n');
+        self.index
+            .push((first_index, chunk as u32, start as u32, text.len() as u32));
+    }
+
+    /// The bytes of the `i`-th indexed line.
+    fn line(&self, i: usize) -> &[u8] {
+        let (_, chunk, start, end) = self.index[i];
+        &self.chunks[chunk as usize].as_bytes()[start as usize..end as usize]
+    }
+}
+
+/// Per-shard classify state: a scratch-reusing columnar batch
+/// classifier, a collector slice, the shard's own lines, and the lines of
+/// the shards merged into it (kept as they are, never concatenated).
 struct ClassifySink {
     clf: BatchClassifier,
     col: Collector,
-    lines: Vec<(u64, String)>,
+    lines: Lines,
+    merged: Vec<Lines>,
     matched: u64,
 }
 
@@ -192,32 +243,38 @@ fn cmd_classify(args: &Args) -> ExitCode {
     let init = || ClassifySink {
         clf: BatchClassifier::new(clf_cfg),
         col: capture_collector(clf_cfg, 0),
-        lines: Vec::new(),
+        lines: Lines::default(),
+        merged: Vec::new(),
         matched: 0,
     };
     let observe = |sink: &mut ClassifySink, batch: FlowBatch| {
-        for i in 0..batch.flow_count() {
-            let first_index = batch.spans()[i].first_index;
-            // Verdicts come straight off the column slices; the owning
-            // record is materialized only for labeling and rendering.
+        for (i, span) in batch.spans().iter().enumerate() {
+            // Classification, aggregation and rendering all read the
+            // batch's column slices; only `--explain` builds an owning
+            // record, for its per-packet narrative.
             let analysis = sink.clf.classify_span(&batch, i);
-            let lf = label_capture_flow(batch.materialize(i));
-            sink.col.observe_analyzed(&lf, &analysis);
+            let tuple = batch.tuple(span);
+            let cols = batch.flow_cols(i);
+            let meta = capture_meta(tuple, &cols);
+            sink.col.record_view(&meta, tuple, &cols, &analysis);
             if analysis.signature().is_some() {
                 sink.matched += 1;
             }
-            let flow = &lf.flow;
-            let line = match mode {
-                ClassifyMode::Jsonl => flow_to_jsonl(flow, &analysis),
-                ClassifyMode::Explain => tamperscope::core::explain(flow, &analysis),
-                ClassifyMode::Lines => flow_to_line(flow, &analysis),
-            };
-            sink.lines.push((first_index, line));
+            sink.lines.push(span.first_index, |out| match mode {
+                ClassifyMode::Jsonl => {
+                    write_jsonl(out, tuple, cols.len(), span.truncated, &analysis);
+                }
+                ClassifyMode::Lines => write_line(out, tuple, cols.len(), &analysis),
+                ClassifyMode::Explain => {
+                    out.push_str(&explain(&batch.materialize(i), &analysis));
+                }
+            });
         }
     };
     let merge = |a: &mut ClassifySink, mut b: ClassifySink| {
         a.col.merge(b.col);
-        a.lines.append(&mut b.lines);
+        a.merged.push(b.lines);
+        a.merged.append(&mut b.merged);
         a.matched += b.matched;
     };
     // Metrics ride a side registry and land in their own file, so the
@@ -232,7 +289,7 @@ fn cmd_classify(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (mut sink, stats) = run_source_observed(src, &cfg, registry.as_ref(), init, observe, merge);
+    let (sink, stats) = run_source_observed(src, &cfg, registry.as_ref(), init, observe, merge);
     eprintln!(
         "[{path}] {} flows / {} packets ({} non-inbound, {} unparsable frames skipped, {} threads)",
         stats.ingest.flows,
@@ -244,11 +301,25 @@ fn cmd_classify(args: &Args) -> ExitCode {
     if stats.corrupt_tail {
         eprintln!("[{path}] warning: capture tail is corrupt; trailing records dropped");
     }
-    sink.lines.sort_by_key(|(first_index, _)| *first_index);
+    let mut shards = sink.merged;
+    shards.push(sink.lines);
+    // First-record indices are unique per flow, so each shard's order is
+    // total; a merge across the sorted shards then writes every line in
+    // global order without a combined index.
+    for lines in &mut shards {
+        lines
+            .index
+            .sort_unstable_by_key(|&(first_index, ..)| first_index);
+    }
+    let mut next = vec![0usize; shards.len()];
     let stdout = std::io::stdout();
     let mut out = BufWriter::new(stdout.lock());
-    for (_, line) in &sink.lines {
-        let _ = writeln!(out, "{line}");
+    while let Some(s) = (0..shards.len())
+        .filter(|&s| next[s] < shards[s].index.len())
+        .min_by_key(|&s| shards[s].index[next[s]].0)
+    {
+        let _ = out.write_all(shards[s].line(next[s]));
+        next[s] += 1;
     }
     if args.has("json-summary") {
         let _ = writeln!(out, "{}", capture_summary_to_json(&sink.col, &stats));

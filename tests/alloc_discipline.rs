@@ -6,9 +6,11 @@
 //! refcount. Flows that *do* yield a domain pay exactly the waived
 //! verdict-owned string and nothing else grows between passes.
 //!
-//! Rendering is budgeted the same way: a `classify --jsonl` line costs a
-//! fixed number of heap requests (the line and the two RST-delta
-//! packet-order vectors) and a default verdict line costs exactly one.
+//! Rendering is budgeted the same way: a `classify --jsonl` line and a
+//! default verdict line each cost exactly one heap request (the line)
+//! when rendered on their own, and none when appended to a warm shard
+//! buffer. The whole per-flow observe step `tamperscope classify` runs
+//! (classify, label, aggregate, render) has a per-flow budget too.
 //! Session generation has a mean budget per `WorldSim::gen_session` call.
 //!
 //! This is the runtime counterpart of tamperlint's static `hot-path-alloc`
@@ -19,7 +21,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tamperscope::analysis::{flow_to_jsonl, flow_to_line};
+use tamperscope::analysis::{
+    capture_collector, capture_meta, flow_to_jsonl, flow_to_line, write_jsonl, write_line,
+    RESERVOIR_CAP,
+};
 use tamperscope::capture::{
     run_source, EngineConfig, EvictionCause, FlowBatch, FlowRecord, FlowTuple, OfflineConfig,
     PcapMemSource,
@@ -289,11 +294,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
     (allocations() - before, out)
 }
 
-/// Heap requests per rendered `classify --jsonl` line: the line itself
-/// plus the two packet-order vectors behind `max_rst_ipid_delta` and
-/// `max_rst_ttl_delta`. Every field is written into the line's one
-/// pre-sized buffer; a per-field `format!` would show up here.
-const JSONL_ALLOCS_PER_LINE: u64 = 3;
+/// Heap requests per rendered `classify --jsonl` line: the line itself.
+/// Every field is written into the line's one pre-sized buffer, and the
+/// IP-ID/TTL deltas come from the analysis; a per-field `format!` or a
+/// re-sort of the packets would show up here.
+const JSONL_ALLOCS_PER_LINE: u64 = 1;
 
 /// Heap requests per rendered default `classify` verdict line: the line.
 const VERDICT_LINE_ALLOCS_PER_LINE: u64 = 1;
@@ -319,6 +324,79 @@ fn rendering_a_verdict_line_allocates_only_the_line() {
     }
     // The budget covers lines that carry an SNI/Host domain too.
     assert!(with_domain > 0, "golden corpus has no domain-bearing flow");
+
+    // Appended to a warm shard buffer, as `classify` renders, no line
+    // makes a heap request at all.
+    let analyses: Vec<_> = flows.iter().map(|cf| machine.analyze(&cf.flow)).collect();
+    let mut buf = String::new();
+    let render_all = |buf: &mut String| {
+        buf.clear();
+        for (cf, a) in flows.iter().zip(&analyses) {
+            let tuple = cf.flow.tuple();
+            let n = cf.flow.packets.len();
+            write_jsonl(buf, &tuple, n, cf.flow.truncated, a);
+            buf.push('\n');
+            write_line(buf, &tuple, n, a);
+            buf.push('\n');
+        }
+    };
+    render_all(&mut buf);
+    let (allocs, ()) = counted(|| render_all(&mut buf));
+    assert_eq!(
+        allocs, 0,
+        "rendering into a warm buffer made {allocs} heap request(s)"
+    );
+}
+
+/// Heap requests per flow for the observe step of `tamperscope classify`
+/// on domain-free flows, once warm: classify the span, label it, record
+/// it into the aggregate and render its line into the shard buffer — all
+/// from the batch's column slices, with no owning record built.
+const OBSERVE_ALLOCS_PER_FLOW: u64 = 0;
+
+#[test]
+fn observing_a_domain_free_flow_stays_within_its_allocation_budget() {
+    let flows = golden_flows();
+    let mut machine = FlowMachine::new(ClassifierConfig::default());
+    let domain_free: Vec<&Closed> = flows
+        .iter()
+        .filter(|cf| machine.analyze(&cf.flow).trigger.domain.is_none())
+        .collect();
+    let batch = batch_of(&domain_free);
+    let cfg = ClassifierConfig::default();
+    let mut clf = BatchClassifier::new(cfg);
+    let mut col = capture_collector(cfg, 0);
+    let mut buf = String::new();
+    let mut observe = |buf: &mut String| {
+        buf.clear();
+        for (i, span) in batch.spans().iter().enumerate() {
+            let analysis = clf.classify_span(&batch, i);
+            let tuple = batch.tuple(span);
+            let cols = batch.flow_cols(i);
+            col.record_view(&capture_meta(tuple, &cols), tuple, &cols, &analysis);
+            write_jsonl(buf, tuple, cols.len(), span.truncated, &analysis);
+            buf.push('\n');
+            write_line(buf, tuple, cols.len(), &analysis);
+            buf.push('\n');
+        }
+    };
+    // Warm: the evidence reservoirs grow (amortized, by doubling) until
+    // each holds its cap of samples; every golden flow lands one sample
+    // per pass in the reservoirs of its class.
+    for _ in 0..=RESERVOIR_CAP {
+        observe(&mut buf);
+    }
+    let passes = 4u64;
+    let (allocs, ()) = counted(|| {
+        for _ in 0..passes {
+            observe(&mut buf);
+        }
+    });
+    let n = passes * domain_free.len() as u64;
+    assert!(
+        allocs <= OBSERVE_ALLOCS_PER_FLOW * n,
+        "the observe step made {allocs} heap request(s) over {n} domain-free flows"
+    );
 }
 
 /// Mean heap requests per `WorldSim::gen_session` call over the first

@@ -239,6 +239,50 @@ fn classify_writes_the_golden_bytes_in_both_output_modes() {
     }
 }
 
+/// FNV-1a, 64-bit, over a command's stdout.
+fn fnv1a(data: &[u8]) -> u64 {
+    data.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Both verdict formats on a 3000-session synthesized capture, pinned by
+/// digest beyond the 21-flow golden corpus: every flow shape the netsim
+/// recipe produces, at one and two engine threads.
+#[test]
+fn classify_stdout_matches_the_pinned_digests_on_a_synthesized_capture() {
+    const LINES: u64 = 0xd91e_f37c_54c3_6405;
+    const JSONL: u64 = 0x53f9_4f0a_ae22_19de;
+    let pcap = tmp("digest_3000.pcap");
+    let out = bin()
+        .args(["synthesize", pcap.to_str().unwrap(), "--sessions", "3000"])
+        .output()
+        .expect("synthesize");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (mode, want) in [(None, LINES), (Some("--jsonl"), JSONL)] {
+        for threads in ["1", "2"] {
+            let out = bin()
+                .arg("classify")
+                .arg(&pcap)
+                .args(mode)
+                .args(["--threads", threads])
+                .output()
+                .expect("classify");
+            assert!(out.status.success());
+            let got = fnv1a(&out.stdout);
+            assert_eq!(
+                got, want,
+                "classify {mode:?} --threads {threads}: digest {got:#018x}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&pcap);
+}
+
 /// `flows_closed` in `--metrics-json` counts closed flows, not the batches
 /// that carry them: the golden corpus holds 21 flows at any thread count.
 #[test]

@@ -8,8 +8,8 @@
 use std::net::{IpAddr, Ipv4Addr};
 
 use tamperscope::analysis::{
-    capture_collector, capture_summary_to_json, flow_to_jsonl, label_capture_flow, metrics_to_json,
-    report, summary_to_json, Collector,
+    capture_collector, capture_meta, capture_summary_to_json, flow_to_jsonl, metrics_to_json,
+    report, summary_to_json, write_jsonl, Collector,
 };
 use tamperscope::capture::{
     flows_from_pcap, run_source, run_source_observed, EngineConfig, EngineStats, FlowBatch,
@@ -166,14 +166,16 @@ fn engine_output_observed(
             lines: Vec::new(),
         },
         |sink: &mut Sink, batch: FlowBatch| {
-            for i in 0..batch.flow_count() {
+            // The binary's observe step: everything from the columns.
+            for (i, span) in batch.spans().iter().enumerate() {
                 let analysis = sink.clf.classify_span(&batch, i);
-                let lf = label_capture_flow(batch.materialize(i));
-                sink.col.observe_analyzed(&lf, &analysis);
-                sink.lines.push((
-                    batch.spans()[i].first_index,
-                    flow_to_jsonl(&lf.flow, &analysis),
-                ));
+                let tuple = batch.tuple(span);
+                let cols = batch.flow_cols(i);
+                let meta = capture_meta(tuple, &cols);
+                sink.col.record_view(&meta, tuple, &cols, &analysis);
+                let mut line = String::new();
+                write_jsonl(&mut line, tuple, cols.len(), span.truncated, &analysis);
+                sink.lines.push((span.first_index, line));
             }
         },
         |a, mut b| {

@@ -10,7 +10,9 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use bytes::Bytes;
 use tamperscope::analysis::{escape_into, escape_json, flow_to_jsonl, JsonObject};
 use tamperscope::capture::{FlowRecord, PacketRecord};
-use tamperscope::core::{AppProtocol, Classification, FlowAnalysis, Signature, Stage, TriggerInfo};
+use tamperscope::core::{
+    AppProtocol, Classification, FlowAnalysis, FlowEvidence, Signature, Stage, TriggerInfo,
+};
 use tamperscope::wire::TcpFlags;
 
 /// The reference escaper: one `match` per char, no fast path.
@@ -119,7 +121,7 @@ fn flow(client_ip: IpAddr, server_ip: IpAddr) -> FlowRecord {
     }
 }
 
-fn analysis(domain: &str) -> FlowAnalysis {
+fn analysis(flow: &FlowRecord, domain: &str) -> FlowAnalysis {
     FlowAnalysis {
         classification: Classification::Tampered(Signature::SynRst),
         stage: Some(Stage::PostSyn),
@@ -129,6 +131,7 @@ fn analysis(domain: &str) -> FlowAnalysis {
             domain: Some(domain.to_owned()),
             protocol: AppProtocol::Tls,
         },
+        evidence: FlowEvidence::of(flow),
     }
 }
 
@@ -149,14 +152,14 @@ fn flow_to_jsonl_escapes_trigger_domains_like_the_reference() {
     for flow in &flows {
         // Everything but the domain is checked against a line rendered
         // with a plain placeholder domain.
-        let plain = flow_to_jsonl(flow, &analysis("PLACEHOLDER"));
+        let plain = flow_to_jsonl(flow, &analysis(flow, "PLACEHOLDER"));
         assert!(plain.starts_with(&format!(
             "{{\"client_ip\":\"{}\",\"server_ip\":\"{}\",",
             flow.client_ip, flow.server_ip
         )));
         assert!(plain.ends_with("\"max_rst_ipid_delta\":39995,\"max_rst_ttl_delta\":49}"));
         for domain in inputs() {
-            let line = flow_to_jsonl(flow, &analysis(&domain));
+            let line = flow_to_jsonl(flow, &analysis(flow, &domain));
             let want = plain.replace("PLACEHOLDER", &reference_escape(&domain));
             assert_eq!(line, want, "trigger_domain {domain:?}");
             assert!(!line.contains('\n') && !line.contains('\r'));

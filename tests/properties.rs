@@ -682,6 +682,109 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The one-pass IP-ID/TTL evidence: `classify_view` folds all five deltas
+// in its walk over the reconstructed order. The per-statistic functions
+// it replaced, each sorting on its own, live on as the reference in
+// `tests/support/reference_evidence.rs`.
+// ---------------------------------------------------------------------------
+
+/// One packet for the evidence walk: any flag mix (bare RST and RST+ACK
+/// anywhere), an IP-ID that may be missing (IPv6 packets, or a mix), any
+/// TTL, seq/ack offsets, a timestamp step with ties, and data or not.
+fn arb_evidence_packet() -> impl Strategy<Value = PacketRecord> {
+    (
+        prop_oneof![
+            Just(TcpFlags::SYN),
+            Just(TcpFlags::ACK),
+            Just(TcpFlags::PSH_ACK),
+            Just(TcpFlags::RST),
+            Just(TcpFlags::RST_ACK),
+            Just(TcpFlags::FIN_ACK),
+            arb_flags(),
+        ],
+        (0u32..600, 0u32..600),
+        (proptest::bool::ANY, any::<u16>()),
+        any::<u8>(),
+        0u64..3,
+        prop_oneof![Just(0u32), Just(0u32), 1u32..40],
+    )
+        .prop_map(|(flags, (seq, ack), (v4, ip_id), ttl, ts, payload_len)| {
+            let mut p = rec(100 + ts, flags, seq, ack, payload_len);
+            p.ip_id = v4.then_some(ip_id);
+            p.ttl = ttl;
+            p
+        })
+}
+
+/// A flow of 0–11 evidence packets with seq/ack anchored either low or in
+/// the wrap band, logged in an arbitrary order (a full shuffle, not only
+/// within timestamp buckets).
+fn arb_evidence_flow() -> impl Strategy<Value = FlowRecord> {
+    (
+        proptest::collection::vec(arb_evidence_packet(), 0..12),
+        prop_oneof![Just(1000u32), arb_wrap_isn()],
+        prop_oneof![Just(0u32), arb_wrap_isn()],
+        proptest::bool::ANY, // IPv6 client
+        any::<u64>(),        // shuffle seed
+    )
+        .prop_map(
+            |(mut packets, isn, server_isn, v6, seed): (_, u32, u32, bool, u64)| {
+                for p in &mut packets {
+                    p.seq = isn.wrapping_add(p.seq);
+                    if p.ack != 0 {
+                        p.ack = server_isn.wrapping_add(p.ack);
+                    }
+                }
+                let mut state = seed | 1;
+                for k in (1..packets.len()).rev() {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    packets.swap(k, (state as usize) % (k + 1));
+                }
+                let client_ip = if v6 {
+                    IpAddr::V6(Ipv6Addr::new(0x2001, 0xdb8, 0, 0, 0, 0, 0, 7))
+                } else {
+                    IpAddr::V4(Ipv4Addr::new(203, 0, 113, 7))
+                };
+                FlowRecord {
+                    client_ip,
+                    server_ip: IpAddr::V4(Ipv4Addr::new(198, 51, 100, 1)),
+                    src_port: 40007,
+                    dst_port: 443,
+                    packets,
+                    observation_end_sec: 140,
+                    truncated: false,
+                }
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The evidence `classify_span` and `FlowMachine::analyze` return
+    /// equals the five reference statistics on arbitrary flows.
+    #[test]
+    fn one_pass_evidence_matches_the_per_statistic_reference(
+        flows in proptest::collection::vec(
+            prop_oneof![arb_evidence_flow(), arb_evidence_flow(), arb_any_flow()],
+            0..8,
+        ),
+    ) {
+        let batch = batch_from_records(&flows);
+        let cfg = ClassifierConfig::default();
+        let mut clf = BatchClassifier::new(cfg);
+        let mut machine = FlowMachine::new(cfg);
+        for (i, f) in flows.iter().enumerate() {
+            let want = reference_classifier::evidence::evidence(f);
+            prop_assert_eq!(clf.classify_span(&batch, i).evidence, want, "flow {} (batch)", i);
+            prop_assert_eq!(machine.analyze(f).evidence, want, "flow {} (machine)", i);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Malformed capture input: the shipped decoder (`PcapMemSource`) and the
 // streaming engine must degrade to counted drops, never panic, on
 // truncation, garbage frames, or bit corruption.

@@ -2,7 +2,12 @@
 //! with nested stage conditionals, kept as an independent oracle for the
 //! random-flow differentials against `FlowMachine`. It owns its copy of
 //! the RST-signature table, so a change to the production table shows up
-//! as a divergence instead of moving both sides at once.
+//! as a divergence instead of moving both sides at once. Its `evidence`
+//! comes from the per-statistic reference bodies in
+//! `reference_evidence.rs`.
+
+#[path = "reference_evidence.rs"]
+pub mod evidence;
 
 use tamperscope::capture::{FlowRecord, PacketRecord};
 use tamperscope::core::{
@@ -111,6 +116,7 @@ impl Classifier {
     /// Classify one flow record, reusing this classifier's scratch space.
     pub fn classify(&mut self, flow: &FlowRecord) -> FlowAnalysis {
         let trigger = extract_trigger(flow);
+        let evidence = evidence::evidence(flow);
         let f = self.features(flow);
         let cfg = &self.cfg;
         let rst_count = self.rsts.iter().filter(|(p, _)| *p).count();
@@ -128,6 +134,7 @@ impl Classifier {
                 rst_count,
                 rst_ack_count,
                 trigger,
+                evidence,
             };
         }
 
@@ -196,6 +203,7 @@ impl Classifier {
             rst_count,
             rst_ack_count,
             trigger,
+            evidence,
         }
     }
 }
